@@ -123,7 +123,8 @@ def _atoms_for(f: Formula, bounds: SearchBounds) -> tuple[str, ...]:
     if len(names) > bounds.atom_cap:
         raise ValueError(
             f"formula has {len(names)} atoms, over the search cap of "
-            f"{bounds.atom_cap}; raise atom_cap to search anyway"
+            f"{bounds.atom_cap}; a larger cap needs "
+            f"SearchBounds(atom_cap=...) in the Python API"
         )
     return names
 

@@ -275,32 +275,13 @@ def resugar_edges(f: Formula) -> Formula:
     return rebuild(f, tuple(resugar_edges(c) for c in kids))
 
 
-def normalize_edge_negations(f: Formula) -> Formula:
-    """Push negation out of edge arguments and drop double negations.
+def _drop_negation(g: Formula) -> Formula:
+    """One negation-removing rewrite at the root of ``g``, or ``g`` itself.
 
-    An edge of a negated formula is the opposite edge of the formula
-    itself: ``RiseEdge(!a)`` is ``FallEdge(a)``, ``FallEdge(!a)`` is
-    ``RiseEdge(a)``, and ``AnyEdge(!a)`` is ``AnyEdge(a)``.
+    ``!!x`` is ``x``, and an edge of a negated formula is the opposite
+    edge of the formula itself: ``up !x`` is ``down x``, ``down !x`` is
+    ``up x``, and ``edge !x`` is ``edge x``.
     """
-
-    def step(g: Formula) -> Formula:
-        while True:
-            if isinstance(g, Not) and isinstance(g.child, Not):
-                g = g.child.child
-            elif isinstance(g, RiseEdge) and isinstance(g.child, Not):
-                g = FallEdge(g.child.child)
-            elif isinstance(g, FallEdge) and isinstance(g.child, Not):
-                g = RiseEdge(g.child.child)
-            elif isinstance(g, AnyEdge) and isinstance(g.child, Not):
-                g = AnyEdge(g.child.child)
-            else:
-                return g
-
-    return transform_bottom_up(f, step)
-
-
-def _rewrite_step(g: Formula) -> Formula:
-    """One local simplification, or ``g`` unchanged."""
     if isinstance(g, Not) and isinstance(g.child, Not):
         return g.child.child
     if isinstance(g, RiseEdge) and isinstance(g.child, Not):
@@ -309,6 +290,29 @@ def _rewrite_step(g: Formula) -> Formula:
         return RiseEdge(g.child.child)
     if isinstance(g, AnyEdge) and isinstance(g.child, Not):
         return AnyEdge(g.child.child)
+    return g
+
+
+def normalize_edge_negations(f: Formula) -> Formula:
+    """Push negation out of edge arguments and drop double negations.
+
+    Applies the rewrites of :func:`_drop_negation` at every node until
+    none applies.
+    """
+
+    def step(g: Formula) -> Formula:
+        while (h := _drop_negation(g)) is not g:
+            g = h
+        return g
+
+    return transform_bottom_up(f, step)
+
+
+def _rewrite_step(g: Formula) -> Formula:
+    """One local simplification, or ``g`` unchanged."""
+    h = _drop_negation(g)
+    if h is not g:
+        return h
     if isinstance(g, Always):
         body = g.child
         if isinstance(body, And):

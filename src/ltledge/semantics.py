@@ -4,20 +4,6 @@ A lasso trace denotes the infinite word ``stem . loop . loop . ...``
 over a finite atom set.  On such words LTL evaluation is exact: every
 suffix from position ``stemlen`` onwards repeats with period ``looplen``,
 so quantifiers over the infinite future only need a bounded window.
-
-Why the window ``stemlen + 2*looplen`` suffices for ``eval``: positions
-``p >= stemlen`` repeat with period ``looplen``, so the positions below
-``stemlen + looplen`` already cover every distinct suffix.  For ``F``/``G``
-a witness (or violation) therefore exists iff one exists below
-``stemlen + looplen``.  For strong until the prefix obligation forces a
-little more care: if ``A U B`` holds at ``p`` with some witness ``i``,
-the *minimal* witness ``i0`` also works (it inherits ``A`` on ``[p, i0)``
-from the larger witness).  A minimal witness is either below
-``stemlen + looplen`` or sits in a loop iteration whose every position
-also occurs one period earlier at the same suffix, contradicting
-minimality once ``i0 >= stemlen + looplen``; hence ``i0`` always lies
-below ``stemlen + looplen`` and scanning to ``stemlen + 2*looplen``
-covers it from any starting position ``p < stemlen + looplen``.
 """
 
 from __future__ import annotations
@@ -25,25 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .formula import (
-    Always,
-    And,
-    AnyEdge,
-    Atom,
-    ConstFalse,
-    ConstTrue,
-    Eventually,
-    FallEdge,
-    Formula,
-    Iff,
-    Implies,
-    Next,
-    Not,
-    Or,
-    RiseEdge,
-    Until,
-    subformulas,
-)
+import numpy as np
+
+from .batch import _Temporal, _label_temporal, _root_rows, _window_temporal
+from .formula import Formula, atoms_of
 
 State = tuple[bool, ...]
 
@@ -126,157 +97,43 @@ def unroll(t: LassoTrace, k: int) -> LassoTrace:
     return LassoTrace(t.atoms, t.stem + t.loop * k, t.loop)
 
 
-def _atom_index(f: Formula, t: LassoTrace) -> dict[str, int]:
-    index = {name: i for i, name in enumerate(t.atoms)}
-    for g in subformulas(f):
-        if isinstance(g, Atom) and g.name not in index:
+def _check_atoms(f: Formula, t: LassoTrace) -> None:
+    for name in atoms_of(f):
+        if name not in t.atoms:
             raise UnknownAtomError(
-                f"formula atom {g.name!r} is not among the trace atoms "
+                f"formula atom {name!r} is not among the trace atoms "
                 f"{list(t.atoms)}"
             )
-    return index
+
+
+def _eval_one_row(f: Formula, t: LassoTrace, p: int,
+                  temporal: _Temporal) -> bool:
+    _check_atoms(f, t)
+    q = normalize_position(t, p)
+    width = len(t.atoms)
+    stems = np.array(t.stem, dtype=bool).reshape(1, t.stem_len, width)
+    loops = np.array(t.loop, dtype=bool).reshape(1, t.loop_len, width)
+    return bool(_root_rows(f, t.atoms, stems, loops, temporal)[0, q])
 
 
 def eval_formula(f: Formula, t: LassoTrace, p: int = 0) -> bool:
     """Truth of ``f`` on the word denoted by ``t`` at position ``p``.
 
-    Direct recursive interpretation: boolean connectives pointwise,
-    ``Next`` steps one position, ``G``/``F``/``U`` scan the bounded
-    window described in the module docstring.  Edge operators compare a
-    position with its successor.
+    Forward window scan: a one-row call of the batch window route, which
+    resolves ``G``/``F``/``U`` by scanning up to the witness bound
+    ``stem_len + 2*loop_len``.  Positions past the end fold into range.
     """
-    index = _atom_index(f, t)
-    memo: dict[tuple[int, int], bool] = {}
-
-    def ev(g: Formula, p: int) -> bool:
-        p = normalize_position(t, p)
-        key = (id(g), p)
-        if key in memo:
-            return memo[key]
-        value = compute(g, p)
-        memo[key] = value
-        return value
-
-    def compute(g: Formula, p: int) -> bool:
-        window = t.stem_len + 2 * t.loop_len
-        if isinstance(g, Atom):
-            return t.state_at(p)[index[g.name]]
-        if isinstance(g, ConstTrue):
-            return True
-        if isinstance(g, ConstFalse):
-            return False
-        if isinstance(g, Not):
-            return not ev(g.child, p)
-        if isinstance(g, And):
-            return ev(g.left, p) and ev(g.right, p)
-        if isinstance(g, Or):
-            return ev(g.left, p) or ev(g.right, p)
-        if isinstance(g, Implies):
-            return not ev(g.left, p) or ev(g.right, p)
-        if isinstance(g, Iff):
-            return ev(g.left, p) == ev(g.right, p)
-        if isinstance(g, Next):
-            return ev(g.child, p + 1)
-        if isinstance(g, RiseEdge):
-            return not ev(g.child, p) and ev(g.child, p + 1)
-        if isinstance(g, FallEdge):
-            return ev(g.child, p) and not ev(g.child, p + 1)
-        if isinstance(g, AnyEdge):
-            return ev(g.child, p) != ev(g.child, p + 1)
-        if isinstance(g, Eventually):
-            return any(ev(g.child, i) for i in range(p, window))
-        if isinstance(g, Always):
-            return all(ev(g.child, i) for i in range(p, window))
-        if isinstance(g, Until):
-            for i in range(p, window):
-                if ev(g.right, i):
-                    return True
-                if not ev(g.left, i):
-                    return False
-            return False
-        raise TypeError(f"not a formula: {g!r}")
-
-    return ev(f, p)
+    return _eval_one_row(f, t, p, _window_temporal)
 
 
 def eval_oracle(f: Formula, t: LassoTrace, p: int = 0) -> bool:
     """Same contract as :func:`eval_formula`, independent algorithm.
 
-    Labels every distinct subformula at every canonical position
-    ``0 ..< stem_len + loop_len`` bottom-up.  The successor of the last
-    loop position wraps to the loop start; ``G``/``F``/``U`` are resolved
-    on the loop by two backward fixpoint passes (two suffice: a shortest
-    witness path around the loop crosses the wrap edge at most once),
-    then propagated backward through the stem.
+    Backward fixpoint labeling: a one-row call of the batch label route,
+    which resolves ``G``/``F``/``U`` on the loop first and then
+    propagates back through the stem.
     """
-    index = _atom_index(f, t)
-    n = t.stem_len + t.loop_len
-    wrap = t.stem_len  # successor of position n - 1
-
-    def succ(p: int) -> int:
-        return p + 1 if p + 1 < n else wrap
-
-    label: dict[Formula, list[bool]] = {}
-    for g in subformulas(f):
-        if g in label:
-            continue
-        if isinstance(g, Atom):
-            row = [t.state_at(p)[index[g.name]] for p in range(n)]
-        elif isinstance(g, ConstTrue):
-            row = [True] * n
-        elif isinstance(g, ConstFalse):
-            row = [False] * n
-        elif isinstance(g, Not):
-            row = [not v for v in label[g.child]]
-        elif isinstance(g, And):
-            row = [a and b for a, b in zip(label[g.left], label[g.right])]
-        elif isinstance(g, Or):
-            row = [a or b for a, b in zip(label[g.left], label[g.right])]
-        elif isinstance(g, Implies):
-            row = [(not a) or b for a, b in zip(label[g.left], label[g.right])]
-        elif isinstance(g, Iff):
-            row = [a == b for a, b in zip(label[g.left], label[g.right])]
-        elif isinstance(g, Next):
-            child = label[g.child]
-            row = [child[succ(p)] for p in range(n)]
-        elif isinstance(g, RiseEdge):
-            child = label[g.child]
-            row = [not child[p] and child[succ(p)] for p in range(n)]
-        elif isinstance(g, FallEdge):
-            child = label[g.child]
-            row = [child[p] and not child[succ(p)] for p in range(n)]
-        elif isinstance(g, AnyEdge):
-            child = label[g.child]
-            row = [child[p] != child[succ(p)] for p in range(n)]
-        elif isinstance(g, Eventually):
-            child = label[g.child]
-            row = child[:]
-            for _ in range(2):
-                for p in range(n - 1, wrap - 1, -1):
-                    row[p] = child[p] or row[succ(p)]
-            for p in range(wrap - 1, -1, -1):
-                row[p] = child[p] or row[p + 1]
-        elif isinstance(g, Always):
-            child = label[g.child]
-            row = child[:]
-            for _ in range(2):
-                for p in range(n - 1, wrap - 1, -1):
-                    row[p] = child[p] and row[succ(p)]
-            for p in range(wrap - 1, -1, -1):
-                row[p] = child[p] and row[p + 1]
-        elif isinstance(g, Until):
-            left, right = label[g.left], label[g.right]
-            row = right[:]
-            for _ in range(2):
-                for p in range(n - 1, wrap - 1, -1):
-                    row[p] = right[p] or (left[p] and row[succ(p)])
-            for p in range(wrap - 1, -1, -1):
-                row[p] = right[p] or (left[p] and row[p + 1])
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-        label[g] = row
-
-    return label[f][normalize_position(t, p)]
+    return _eval_one_row(f, t, p, _label_temporal)
 
 
 def trace_to_doc(t: LassoTrace) -> dict:

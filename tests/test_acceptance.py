@@ -107,8 +107,8 @@ def test_criterion_04_evaluation_routes_agree_at_scale():
             if not np.array_equal(scan, fixpoint):
                 disagreements += 1
 
-    # bridge: the vectorized routes are computed by the same algorithms as
-    # the scalar evaluators; spot-weld them together on a sampled grid
+    # bridge: the scalar evaluators are one-row calls of the same two
+    # routes; check on a sampled grid that batching changes no row
     sample_rng = random.Random(99)
     for f in sample_rng.sample(formulas, 40):
         row_stems, row_loops = blocks[sample_rng.randrange(len(blocks))]

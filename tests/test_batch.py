@@ -1,4 +1,11 @@
-"""Vectorized batch evaluation against the scalar reference."""
+"""Vectorized batch evaluation of many lassos at once.
+
+``eval_formula`` is itself a one-row call of the window route, so the
+comparison with it checks that batching many rows changes no row; the
+independent reference for both routes is the recorded corpus in
+``eval_golden.json`` (see ``test_semantics``), and the two routes are
+cross-checked against each other below.
+"""
 
 from __future__ import annotations
 

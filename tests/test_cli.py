@@ -97,6 +97,14 @@ def test_falsify_reports_exhaustion(run):
     assert (code, out) == (0, "no counterexample within bounds\n")
 
 
+def test_falsify_over_the_atom_cap_is_a_usage_error(run):
+    code, out, err = run("falsify", "G(a & b & c -> X d)")
+    assert (code, out) == (2, "")
+    assert "over the search cap of 3" in err
+    assert "SearchBounds(atom_cap=...)" in err
+    assert "Traceback" not in err
+
+
 def test_pattern_list(run):
     code, out, _ = run("pattern", "list")
     ids = out.splitlines()

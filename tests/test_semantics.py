@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import base64
+import json
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import all_lassos, gen_formula
@@ -23,6 +27,7 @@ from ltledge.semantics import (
 )
 from ltledge.syntax import parse
 
+GOLDEN = Path(__file__).with_name("eval_golden.json")
 A_TRUE_THEN_FALSE = LassoTrace(("a",), ((True,),), ((False,),))
 
 
@@ -88,27 +93,71 @@ def test_until_is_strong():
     assert eval_formula(parse("G a"), never) is True
 
 
-def test_eval_at_positions():
+EVALUATORS = pytest.mark.parametrize(
+    "evaluate", [eval_formula, eval_oracle], ids=["window", "label"]
+)
+
+
+@EVALUATORS
+def test_eval_at_positions(evaluate):
     t = LassoTrace(("a",), ((True,), (False,)), ((True,),))
-    assert eval_formula(parse("a"), t, 0) is True
-    assert eval_formula(parse("a"), t, 1) is False
-    assert eval_formula(parse("a"), t, 2) is True
-    assert eval_formula(parse("G a"), t, 2) is True
-    assert eval_formula(parse("G a"), t, 99) is True
+    assert evaluate(parse("a"), t, 0) is True
+    assert evaluate(parse("a"), t, 1) is False
+    assert evaluate(parse("a"), t, 2) is True
+    assert evaluate(parse("G a"), t, 2) is True
+    assert evaluate(parse("G a"), t, 99) is True
+    # the witness for position 1 lies one wrap of the loop ahead
+    loop_only = LassoTrace(
+        ("a", "b", "c"), (), ((False, False, False), (True, False, False))
+    )
+    assert evaluate(parse("c U a"), loop_only, 1) is True
+    assert evaluate(parse("c U a"), loop_only, 0) is False
 
 
-def test_edge_operators_fire_on_change():
+@EVALUATORS
+def test_edge_operators_fire_on_change(evaluate):
     t = LassoTrace(("a",), ((False,), (True,)), ((True,),))
-    assert eval_formula(parse("up a"), t, 0) is True
-    assert eval_formula(parse("up a"), t, 1) is False
-    assert eval_formula(parse("down a"), t, 0) is False
-    assert eval_formula(parse("edge a"), t, 0) is True
+    assert evaluate(parse("up a"), t, 0) is True
+    assert evaluate(parse("up a"), t, 1) is False
+    assert evaluate(parse("down a"), t, 0) is False
+    assert evaluate(parse("edge a"), t, 0) is True
 
 
 def test_unknown_atom_is_reported():
     with pytest.raises(UnknownAtomError) as info:
         eval_formula(parse("zz"), A_TRUE_THEN_FALSE)
     assert "zz" in str(info.value)
+
+
+@EVALUATORS
+def test_negative_position_is_rejected(evaluate):
+    with pytest.raises(ValueError):
+        evaluate(parse("a"), A_TRUE_THEN_FALSE, -1)
+
+
+def _golden_bits(evaluate, f, traces, fold_offset):
+    bits = []
+    for t in traces:
+        n = t.stem_len + t.loop_len
+        for p in [*range(n), n + fold_offset]:
+            bits.append(evaluate(f, t, p))
+    return np.array(bits, dtype=bool)
+
+
+@EVALUATORS
+def test_evaluators_reproduce_the_golden_corpus(evaluate):
+    # Values recorded from the recursive interpreter that eval_formula
+    # used to be; see the description fields of the file.
+    doc = json.loads(GOLDEN.read_text())
+    traces = list(all_lassos(("p", "q"), 2, 2))
+    for case in doc["cases"]:
+        f = parse(case["formula"])
+        want = np.unpackbits(
+            np.frombuffer(base64.b64decode(case["values"]), dtype=np.uint8)
+        ).astype(bool)
+        got = _golden_bits(evaluate, f, traces, doc["fold_offset"])
+        assert np.array_equal(got, want[: got.size]), case["formula"]
+        assert not want[got.size :].any()
 
 
 def test_trace_documents_round_trip():
