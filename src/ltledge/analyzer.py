@@ -8,8 +8,19 @@ subformulas.  The rule set is: atoms and constants are closed; all
 boolean and temporal connectives except ``Next`` preserve closure;
 three schema rules discharge specific shapes in which edges neutralize
 the ``Next`` operators (an eventually-rise, an always-rise-implies, and
-an until form); plus bookkeeping rules for edge dualities and the
-logical rewrites used to reach those shapes.
+an until form), and a fourth the raw ``F(!a & X a & X B)`` shape; plus
+bookkeeping rules for edge dualities and the logical rewrites used to
+reach those shapes.
+
+One table, ``_RULES``, maps each derivation rule to its conclusion node
+type, its candidate generator and its piece names (``"ABC"`` and so on;
+empty for the compositional rules, whose one candidate is the node's
+children).  A candidate is a canonical conclusion plus premise formulas.
+The prover tries, per node type, the table's rules for that type in
+order (``_ATTEMPTS``) and takes the first candidate whose pieces all
+prove closed; the checker accepts a node iff some candidate of its rule
+reproduces its conclusion and premises exactly.  Both read the same
+generators, so they cannot disagree on what a rule accepts.
 """
 
 from __future__ import annotations
@@ -17,11 +28,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .formula import (
     Always,
     And,
-    AnyEdge,
     Atom,
     ConstFalse,
     ConstTrue,
@@ -37,6 +48,7 @@ from .formula import (
     Until,
     build_and,
     build_or,
+    children_of,
     expand_any_edges,
     flatten_and,
     flatten_or,
@@ -122,75 +134,51 @@ def _merge_blockers(*groups: tuple[Formula, ...]) -> tuple[Formula, ...]:
 
 
 def _analyze(f: Formula, memo: dict[Formula, Verdict]) -> Verdict:
-    if f in memo:
-        return memo[f]
-    verdict = _dispatch(f, memo)
-    memo[f] = verdict
+    verdict = memo.get(f)
+    if verdict is None:
+        verdict = memo[f] = _dispatch(f, memo)
     return verdict
 
 
 def _dispatch(f: Formula, memo: dict) -> Verdict:
-    if isinstance(f, Atom):
-        return Closed(ProofTree(Rule.VAR, f))
-    if isinstance(f, (ConstTrue, ConstFalse)):
-        return Closed(ProofTree(Rule.CONST, f))
-    if isinstance(f, Not):
-        inner = _analyze(f.child, memo)
-        if isinstance(inner, Closed):
-            return Closed(ProofTree(Rule.NOT, f, (inner.proof,)))
-        return inner
-    if isinstance(f, And):
-        return _compositional(f, Rule.AND, (f.left, f.right), memo)
-    if isinstance(f, (Or, Implies, Iff)):
-        return _compositional(f, Rule.BINOP, (f.left, f.right), memo)
-    if isinstance(f, Always):
-        attempts = [_compositional(f, Rule.ALWAYS, (f.child,), memo)]
-        if isinstance(attempts[0], Closed):
-            return attempts[0]
-        attempts.append(_try_prop_a(f, memo))
-        if isinstance(attempts[-1], Closed):
-            return attempts[-1]
-        attempts.append(_try_fallback(f, memo))
-        if isinstance(attempts[-1], Closed):
-            return attempts[-1]
-        return Unknown(_merge_blockers(*[a.blockers for a in attempts]))
-    if isinstance(f, Eventually):
-        attempts = [_compositional(f, Rule.EVENT, (f.child,), memo)]
-        if isinstance(attempts[0], Closed):
-            return attempts[0]
-        attempts.append(_try_prop_e(f, memo))
-        if isinstance(attempts[-1], Closed):
-            return attempts[-1]
-        attempts.append(_try_thm_main(f, memo))
-        if isinstance(attempts[-1], Closed):
-            return attempts[-1]
-        attempts.append(_try_fallback(f, memo))
-        if isinstance(attempts[-1], Closed):
-            return attempts[-1]
-        return Unknown(_merge_blockers(*[a.blockers for a in attempts]))
-    if isinstance(f, Until):
-        attempts = [_compositional(f, Rule.UNTIL, (f.left, f.right), memo)]
-        if isinstance(attempts[0], Closed):
-            return attempts[0]
-        attempts.append(_try_prop_u(f, memo))
-        if isinstance(attempts[-1], Closed):
-            return attempts[-1]
-        return Unknown(_merge_blockers(*[a.blockers for a in attempts]))
-    if isinstance(f, (Next, RiseEdge, FallEdge, AnyEdge)):
+    attempts = _ATTEMPTS.get(type(f))
+    if attempts is None:
+        raise TypeError(f"not a formula: {f!r}")
+    if not attempts:
         return Unknown((f,))
-    raise TypeError(f"not a formula: {f!r}")
+    failed: list[tuple[Formula, ...]] = []
+    for attempt in attempts:
+        verdict = attempt(f, memo)
+        if isinstance(verdict, Closed):
+            return verdict
+        failed.append(verdict.blockers)
+    return Unknown(_merge_blockers(*failed))
 
 
-def _compositional(f: Formula, rule: Rule, parts: tuple[Formula, ...],
-                   memo: dict) -> Verdict:
-    verdicts = [_analyze(p, memo) for p in parts]
-    if all(isinstance(v, Closed) for v in verdicts):
-        return Closed(ProofTree(rule, f, tuple(v.proof for v in verdicts)))
-    return Unknown(
-        _merge_blockers(
-            *[v.blockers for v in verdicts if isinstance(v, Unknown)]
-        )
-    )
+def _try_schema(rule: Rule, f: Formula, memo: dict) -> Verdict:
+    """First candidate of ``rule`` whose pieces all prove closed."""
+    _, candidates, names = _RULES[rule]
+    failed: list[tuple[Formula, ...]] = []
+    for canonical, pieces in candidates(f):
+        verdicts = [_analyze(g, memo) for g in pieces]
+        blockers = [v.blockers for v in verdicts if isinstance(v, Unknown)]
+        if blockers:
+            failed.extend(blockers)
+            continue
+        note = None
+        if names:
+            note = "; ".join(
+                f"{n}={render(g)}" for n, g in zip(names, pieces)
+            )
+        proofs = tuple(v.proof for v in verdicts)
+        node = ProofTree(rule, canonical, proofs, note)
+        if canonical != f:
+            node = ProofTree(
+                Rule.EDGE_DUAL, f, (node,),
+                note="fall edge read as rise of the negation",
+            )
+        return Closed(node)
+    return Unknown(_merge_blockers(*failed))
 
 
 def _negate(g: Formula) -> Formula:
@@ -207,181 +195,99 @@ def _replace_nth(t: Formula, spine, n: int, rep: Formula):
 
 
 # ---------------------------------------------------------------------------
-# Schema rules.  Each matcher enumerates candidate partitions; analysis
-# takes the first whose pieces all prove closed, the proof checker accepts
-# a node iff some candidate reproduces its premises exactly.
+# Candidate generators.  Each returns (canonical conclusion, premises)
+# pairs in the order analysis tries them; the proof checker accepts a
+# node iff some candidate reproduces its conclusion and premises exactly.
+# A canonical conclusion differs from the formula only where a fall edge
+# was read as the rise of the negation.
 
-def _split_event_rest(rest: list[Formula]):
-    """Partition non-candidate conjuncts of an eventually-rise body.
+def _anchor(g: Formula) -> Formula | None:
+    """``a`` for ``up a``, ``!a`` for ``down a`` (``down a = up !a``)."""
+    if isinstance(g, RiseEdge):
+        return g.child
+    if isinstance(g, FallEdge):
+        return Not(g.child)
+    return None
 
-    Next-parts feed the next-state piece B; everything else feeds the
-    plain piece C.  A non-candidate edge splits by its definition into a
-    current-state conjunct and a next-state conjunct.
+
+def _split(items: list[Formula], conj: bool):
+    """Next-state parts (B) and current-state parts (C) of the items.
+
+    The items are conjuncts if ``conj``, else disjuncts.  ``X x`` goes to
+    B as ``x`` and ``!X x`` as ``!x``.  An edge conjunct splits by its
+    definition (``up z = !z & X z``, ``down z = z & X !z``), a
+    negated-edge disjunct by De Morgan over it (``!up z = z | X !z``,
+    ``!down z = !z | X z``); anything else goes to C whole.
     """
     b_parts: list[Formula] = []
     c_parts: list[Formula] = []
-    for c in rest:
-        if isinstance(c, Next):
-            b_parts.append(c.child)
-        elif isinstance(c, Not) and isinstance(c.child, Next):
-            b_parts.append(_negate(c.child.child))
-        elif isinstance(c, RiseEdge):
-            c_parts.append(_negate(c.child))
-            b_parts.append(c.child)
-        elif isinstance(c, FallEdge):
-            c_parts.append(c.child)
-            b_parts.append(_negate(c.child))
+    for g in items:
+        edge = g if conj else (g.child if isinstance(g, Not) else None)
+        if isinstance(g, Next):
+            b_parts.append(g.child)
+        elif isinstance(g, Not) and isinstance(g.child, Next):
+            b_parts.append(_negate(g.child.child))
+        elif isinstance(edge, (RiseEdge, FallEdge)):
+            z, not_z = edge.child, _negate(edge.child)
+            rising = isinstance(edge, RiseEdge) == conj  # !z now, z next
+            c_parts.append(not_z if rising else z)
+            b_parts.append(z if rising else not_z)
         else:
-            c_parts.append(c)
-    b = build_and(b_parts) if b_parts else ConstTrue()
-    c = build_and(c_parts) if c_parts else ConstTrue()
-    return b, c
+            c_parts.append(g)
+    return b_parts, c_parts
+
+
+def _children(f: Formula):
+    """The one candidate of a compositional rule: the node's children."""
+    return [(f, children_of(f))]
 
 
 def _event_candidates(f: Eventually):
-    """Candidate (canonical formula, A, B, C) tuples for the eventually rule."""
+    """``F(up A & X B & C)``: one candidate per edge conjunct."""
     conjs = flatten_and(f.child)
     out = []
-    for i, c in enumerate(conjs):
-        if isinstance(c, RiseEdge):
-            a = c.child
-            canonical = f
-        elif isinstance(c, FallEdge):
-            a = Not(c.child)
-            body, _ = _replace_nth(f.child, And, i, RiseEdge(a))
-            canonical = Eventually(body)
-        else:
+    for i, g in enumerate(conjs):
+        a = _anchor(g)
+        if a is None:
             continue
-        rest = conjs[:i] + conjs[i + 1 :]
-        b, cc = _split_event_rest(rest)
-        out.append((canonical, a, b, cc))
+        canonical = f
+        if isinstance(g, FallEdge):
+            body = _replace_nth(f.child, And, i, RiseEdge(a))[0]
+            canonical = Eventually(body)
+        b, c = _split(conjs[:i] + conjs[i + 1 :], True)
+        out.append((canonical, (a, build_and(b), build_and(c))))
     return out
 
 
-def _try_prop_e(f: Eventually, memo: dict) -> Verdict:
-    failed: list[tuple[Formula, ...]] = []
-    for canonical, a, b, c in _event_candidates(f):
-        pa, pb, pc = (_analyze(g, memo) for g in (a, b, c))
-        if all(isinstance(v, Closed) for v in (pa, pb, pc)):
-            node = ProofTree(
-                Rule.PROP_E,
-                canonical,
-                (pa.proof, pb.proof, pc.proof),
-                note=f"A={render(a)}; B={render(b)}; C={render(c)}",
-            )
-            if canonical != f:
-                node = ProofTree(
-                    Rule.EDGE_DUAL, f, (node,),
-                    note="fall edge read as rise of the negation",
-                )
-            return Closed(node)
-        failed.extend(
-            v.blockers for v in (pa, pb, pc) if isinstance(v, Unknown)
-        )
-    return Unknown(_merge_blockers(*failed))
-
-
-def _split_disjuncts(rest: list[Formula]):
-    """Partition disjuncts into next-parts (B) and plain parts (C).
-
-    A negated edge in a disjunction splits by De Morgan over its
-    definition: ``!up z`` is ``z | X !z``, ``!down z`` is ``!z | X z``.
-    """
-    b_parts: list[Formula] = []
-    c_parts: list[Formula] = []
-    for d in rest:
-        if isinstance(d, Next):
-            b_parts.append(d.child)
-        elif isinstance(d, Not) and isinstance(d.child, Next):
-            b_parts.append(_negate(d.child.child))
-        elif isinstance(d, Not) and isinstance(d.child, RiseEdge):
-            c_parts.append(d.child.child)
-            b_parts.append(_negate(d.child.child))
-        elif isinstance(d, Not) and isinstance(d.child, FallEdge):
-            c_parts.append(_negate(d.child.child))
-            b_parts.append(d.child.child)
-        else:
-            c_parts.append(d)
-    return b_parts, c_parts
-
-
-def _export_antecedent(rest: list[Formula]):
-    """Negations of leftover antecedent conjuncts, as consequent disjuncts.
-
-    ``G(up a & y -> cons)`` is ``G(up a -> cons | !y)``; the negation of
-    an edge or next conjunct splits into current- and next-state parts.
-    """
-    b_parts: list[Formula] = []
-    c_parts: list[Formula] = []
-    for c in rest:
-        if isinstance(c, Next):
-            b_parts.append(_negate(c.child))
-        elif isinstance(c, Not) and isinstance(c.child, Next):
-            b_parts.append(c.child.child)
-        elif isinstance(c, RiseEdge):
-            c_parts.append(c.child)
-            b_parts.append(_negate(c.child))
-        elif isinstance(c, FallEdge):
-            c_parts.append(_negate(c.child))
-            b_parts.append(c.child)
-        else:
-            c_parts.append(_negate(c))
-    return b_parts, c_parts
-
-
 def _always_candidates(f: Always):
+    """``G(up A -> X B | C)``: one candidate per edge antecedent conjunct.
+
+    The other antecedent conjuncts move to the consequent negated:
+    ``G(up a & y -> cons)`` is ``G(up a -> cons | !y)``.
+    """
     if not isinstance(f.child, Implies):
         return []
     ante, cons = f.child.left, f.child.right
     conjs = flatten_and(ante)
-    disjs = flatten_or(cons)
+    b_dis, c_dis = _split(flatten_or(cons), False)
     out = []
-    for i, c in enumerate(conjs):
-        if isinstance(c, RiseEdge):
-            a = c.child
-            canonical = f
-        elif isinstance(c, FallEdge):
-            a = Not(c.child)
-            ante2, _ = _replace_nth(ante, And, i, RiseEdge(a))
-            canonical = Always(Implies(ante2, cons))
-        else:
+    for i, g in enumerate(conjs):
+        a = _anchor(g)
+        if a is None:
             continue
-        rest = conjs[:i] + conjs[i + 1 :]
-        b_exp, c_exp = _export_antecedent(rest)
-        b_dis, c_dis = _split_disjuncts(disjs)
-        b_parts = b_exp + b_dis
-        c_parts = c_exp + c_dis
-        b = build_or(b_parts) if b_parts else ConstFalse()
-        cc = build_or(c_parts) if c_parts else ConstFalse()
-        out.append((canonical, a, b, cc))
+        canonical = f
+        if isinstance(g, FallEdge):
+            ante2 = _replace_nth(ante, And, i, RiseEdge(a))[0]
+            canonical = Always(Implies(ante2, cons))
+        rest = [_negate(c) for c in conjs[:i] + conjs[i + 1 :]]
+        b, c = _split(rest, False)
+        pieces = (a, build_or(b + b_dis), build_or(c + c_dis))
+        out.append((canonical, pieces))
     return out
 
 
-def _try_prop_a(f: Always, memo: dict) -> Verdict:
-    failed: list[tuple[Formula, ...]] = []
-    for canonical, a, b, c in _always_candidates(f):
-        pa, pb, pc = (_analyze(g, memo) for g in (a, b, c))
-        if all(isinstance(v, Closed) for v in (pa, pb, pc)):
-            node = ProofTree(
-                Rule.PROP_A,
-                canonical,
-                (pa.proof, pb.proof, pc.proof),
-                note=f"A={render(a)}; B={render(b)}; C={render(c)}",
-            )
-            if canonical != f:
-                node = ProofTree(
-                    Rule.EDGE_DUAL, f, (node,),
-                    note="fall edge read as rise of the negation",
-                )
-            return Closed(node)
-        failed.extend(
-            v.blockers for v in (pa, pb, pc) if isinstance(v, Unknown)
-        )
-    return Unknown(_merge_blockers(*failed))
-
-
 def _until_candidates(f: Until):
-    """Candidate partitions (canonical, A, B, C, D, E, Fpiece) for until.
+    """``(!up A | X B | C) U (up D & X E & F)``.
 
     The left side must contain a negated-edge disjunct (that disjunct is
     what tolerates duplicated states); the right side needs an edge
@@ -389,86 +295,36 @@ def _until_candidates(f: Until):
     the neutral constants.
     """
     left_disjs = flatten_or(f.left)
-    right_conjs = flatten_and(f.right)
-    out = []
-    for i, d in enumerate(left_disjs):
-        if isinstance(d, Not) and isinstance(d.child, RiseEdge):
-            a = d.child.child
-            left2 = f.left
-        elif isinstance(d, Not) and isinstance(d.child, FallEdge):
-            a = Not(d.child.child)
-            left2, _ = _replace_nth(f.left, Or, i, Not(RiseEdge(a)))
-        else:
+    lefts = []
+    for i, g in enumerate(left_disjs):
+        a = _anchor(g.child) if isinstance(g, Not) else None
+        if a is None:
             continue
-        b_parts, c_parts = _split_disjuncts(
-            left_disjs[:i] + left_disjs[i + 1 :]
-        )
-        b = build_or(b_parts) if b_parts else ConstFalse()
-        c = build_or(c_parts) if c_parts else ConstFalse()
-
-        r_options: list[tuple[int | None, Formula | None]] = []
-        for j, rc in enumerate(right_conjs):
-            if isinstance(rc, RiseEdge):
-                r_options.append((j, rc.child))
-            elif isinstance(rc, FallEdge):
-                r_options.append((j, Not(rc.child)))
-        r_options.append((None, None))
-
-        for j, dd in r_options:
-            rest = [rc for jj, rc in enumerate(right_conjs) if jj != j]
-            e_acc: list[Formula] = []
-            f_acc: list[Formula] = []
-            for rc in rest:
-                if isinstance(rc, Next):
-                    e_acc.append(rc.child)
-                elif isinstance(rc, Not) and isinstance(rc.child, Next):
-                    e_acc.append(_negate(rc.child.child))
-                elif isinstance(rc, RiseEdge):
-                    f_acc.append(_negate(rc.child))
-                    e_acc.append(rc.child)
-                elif isinstance(rc, FallEdge):
-                    f_acc.append(rc.child)
-                    e_acc.append(_negate(rc.child))
-                else:
-                    f_acc.append(rc)
-            if dd is None and e_acc:
-                continue  # a next-part on the right needs the edge anchor
-            e = build_and(e_acc) if e_acc else ConstTrue()
-            fp = build_and(f_acc) if f_acc else ConstTrue()
-            d_formula = dd if dd is not None else ConstTrue()
-            right2 = f.right
-            if j is not None and isinstance(right_conjs[j], FallEdge):
-                right2, _ = _replace_nth(f.right, And, j, RiseEdge(dd))
-            canonical = Until(left2, right2)
-            out.append((canonical, a, b, c, d_formula, e, fp))
-    return out
-
-
-def _try_prop_u(f: Until, memo: dict) -> Verdict:
-    failed: list[tuple[Formula, ...]] = []
-    for canonical, *pieces in _until_candidates(f):
-        verdicts = [_analyze(g, memo) for g in pieces]
-        if all(isinstance(v, Closed) for v in verdicts):
-            a, b, c, d, e, fp = pieces
-            node = ProofTree(
-                Rule.PROP_U,
-                canonical,
-                tuple(v.proof for v in verdicts),
-                note=(
-                    f"A={render(a)}; B={render(b)}; C={render(c)}; "
-                    f"D={render(d)}; E={render(e)}; F={render(fp)}"
-                ),
-            )
-            if canonical != f:
-                node = ProofTree(
-                    Rule.EDGE_DUAL, f, (node,),
-                    note="fall edge read as rise of the negation",
-                )
-            return Closed(node)
-        failed.extend(
-            v.blockers for v in verdicts if isinstance(v, Unknown)
-        )
-    return Unknown(_merge_blockers(*failed))
+        left2 = f.left
+        if isinstance(g.child, FallEdge):
+            left2 = _replace_nth(f.left, Or, i, Not(RiseEdge(a)))[0]
+        b, c = _split(left_disjs[:i] + left_disjs[i + 1 :], False)
+        lefts.append((left2, a, build_or(b), build_or(c)))
+    right_conjs = flatten_and(f.right)
+    anchors = [
+        (j, d) for j, g in enumerate(right_conjs)
+        if (d := _anchor(g)) is not None
+    ]
+    rights = []
+    for j, d in [*anchors, (None, None)]:
+        e, fp = _split([g for k, g in enumerate(right_conjs) if k != j], True)
+        if d is None and e:
+            continue  # a next-part on the right needs the edge anchor
+        right2 = f.right
+        if j is not None and isinstance(right_conjs[j], FallEdge):
+            right2 = _replace_nth(f.right, And, j, RiseEdge(d))[0]
+        d = ConstTrue() if d is None else d
+        rights.append((right2, d, build_and(e), build_and(fp)))
+    return [
+        (Until(left2, right2), (a, b, c, d, e, fp))
+        for left2, a, b, c in lefts
+        for right2, d, e, fp in rights
+    ]
 
 
 def _thm_main_candidates(f: Eventually):
@@ -486,25 +342,8 @@ def _thm_main_candidates(f: Eventually):
         others = rest[:j] + rest[j + 1 :]
         if not all(isinstance(o, Next) for o in others):
             continue
-        b = build_and([o.child for o in others]) if others else ConstTrue()
-        out.append((a, b))
+        out.append((f, (a, build_and([o.child for o in others]))))
     return out
-
-
-def _try_thm_main(f: Eventually, memo: dict) -> Verdict:
-    failed: list[tuple[Formula, ...]] = []
-    for a, b in _thm_main_candidates(f):
-        pa, pb = _analyze(a, memo), _analyze(b, memo)
-        if isinstance(pa, Closed) and isinstance(pb, Closed):
-            node = ProofTree(
-                Rule.THM_MAIN, f, (pa.proof, pb.proof),
-                note=f"A={render(a)}; B={render(b)}",
-            )
-            return Closed(node)
-        failed.extend(
-            v.blockers for v in (pa, pb) if isinstance(v, Unknown)
-        )
-    return Unknown(_merge_blockers(*failed))
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +435,35 @@ def _try_fallback(f: Formula, memo: dict) -> Verdict:
     return inner
 
 
+# The rule table, read by both the prover and the checker:
+# rule -> (conclusion node types, candidate generator, piece names).
+_RULES = {
+    Rule.VAR: (Atom, _children, ""),
+    Rule.CONST: ((ConstTrue, ConstFalse), _children, ""),
+    Rule.NOT: (Not, _children, ""),
+    Rule.AND: (And, _children, ""),
+    Rule.BINOP: ((Or, Implies, Iff), _children, ""),
+    Rule.ALWAYS: (Always, _children, ""),
+    Rule.EVENT: (Eventually, _children, ""),
+    Rule.UNTIL: (Until, _children, ""),
+    Rule.PROP_E: (Eventually, _event_candidates, "ABC"),
+    Rule.THM_MAIN: (Eventually, _thm_main_candidates, "AB"),
+    Rule.PROP_A: (Always, _always_candidates, "ABC"),
+    Rule.PROP_U: (Until, _until_candidates, "ABCDEF"),
+}
+
+# What the prover tries on each node type, in order: the table's rules
+# for that type (compositional first), then the fallback rewrite under
+# G and F.  A bare next or edge has no rule and is its own blocker.
+_ATTEMPTS = {
+    kind: tuple(
+        partial(_try_schema, r)
+        for r, spec in _RULES.items() if issubclass(kind, spec[0])
+    ) + ((_try_fallback,) if kind in (Always, Eventually) else ())
+    for kind in Formula.__subclasses__()
+}
+
+
 # ---------------------------------------------------------------------------
 # Proof rendering, parsing and checking.
 
@@ -661,55 +529,21 @@ def _premise_formulas(p: ProofTree) -> tuple[Formula, ...]:
 
 
 def _check_node(p: ProofTree) -> bool:
+    if not isinstance(p.rule, Rule):
+        return False  # a plain string equal to a rule value is no label
     f = p.conclusion
     got = _premise_formulas(p)
-    if p.rule is Rule.VAR:
-        return isinstance(f, Atom) and not got
-    if p.rule is Rule.CONST:
-        return isinstance(f, (ConstTrue, ConstFalse)) and not got
-    if p.rule is Rule.NOT:
-        return isinstance(f, Not) and got == (f.child,)
-    if p.rule is Rule.AND:
-        return isinstance(f, And) and got == (f.left, f.right)
-    if p.rule is Rule.BINOP:
-        return isinstance(f, (Or, Implies, Iff)) and got == (f.left, f.right)
-    if p.rule is Rule.ALWAYS:
-        return isinstance(f, Always) and got == (f.child,)
-    if p.rule is Rule.EVENT:
-        return isinstance(f, Eventually) and got == (f.child,)
-    if p.rule is Rule.UNTIL:
-        return isinstance(f, Until) and got == (f.left, f.right)
-    if p.rule is Rule.PROP_E:
-        if not isinstance(f, Eventually):
-            return False
-        return any(
-            cand == f and (a, b, c) == got
-            for cand, a, b, c in _event_candidates(f)
+    spec = _RULES.get(p.rule)
+    if spec is not None:
+        node, candidates, _ = spec
+        return isinstance(f, node) and any(
+            canonical == f and pieces == got
+            for canonical, pieces in candidates(f)
         )
-    if p.rule is Rule.PROP_A:
-        if not isinstance(f, Always):
-            return False
-        return any(
-            cand == f and (a, b, c) == got
-            for cand, a, b, c in _always_candidates(f)
-        )
-    if p.rule is Rule.PROP_U:
-        if not isinstance(f, Until):
-            return False
-        return any(
-            cand == f and tuple(pieces) == got
-            for cand, *pieces in _until_candidates(f)
-        )
-    if p.rule is Rule.THM_MAIN:
-        if not isinstance(f, Eventually):
-            return False
-        return any((a, b) == got for a, b in _thm_main_candidates(f))
+    if len(got) != 1:
+        return False
     if p.rule is Rule.EDGE_DUAL:
-        if len(got) != 1:
-            return False
         return normalize_edge_negations(f) == normalize_edge_negations(got[0])
     if p.rule is Rule.LOGIC_REWRITE:
-        if len(got) != 1:
-            return False
         return got[0] in (normalize(f), _fallback_rewrite(f))
     return False

@@ -100,11 +100,17 @@ _BINARY = (And, Or, Implies, Iff, Until)
 _UNARY = (Not, Next, Always, Eventually, RiseEdge, FallEdge, AnyEdge)
 
 
+# Arity by exact node class: one dict lookup, where isinstance against both
+# tuples costs a leaf twelve failed checks.
+_ARITY = {kind: 2 for kind in _BINARY} | {kind: 1 for kind in _UNARY}
+
+
 def children_of(f: Formula) -> tuple[Formula, ...]:
     """Immediate subformulas of ``f``, left to right."""
-    if isinstance(f, _BINARY):
+    arity = _ARITY.get(type(f))
+    if arity == 2:
         return (f.left, f.right)
-    if isinstance(f, _UNARY):
+    if arity == 1:
         return (f.child,)
     return ()
 
@@ -309,33 +315,47 @@ def normalize_edge_negations(f: Formula) -> Formula:
 
 
 def _rewrite_step(g: Formula) -> Formula:
-    """One local simplification, or ``g`` unchanged."""
+    """Normal form of ``g`` under the local simplifications.
+
+    The children of ``g`` must already be normal; every node a rewrite
+    builds is normalized here before it is returned, so one bottom-up
+    pass reaches the fixpoint.
+    """
     h = _drop_negation(g)
     if h is not g:
         return h
+    step = _rewrite_step
     if isinstance(g, Always):
         body = g.child
         if isinstance(body, And):
-            return And(Always(body.left), Always(body.right))
+            return And(step(Always(body.left)), step(Always(body.right)))
         if isinstance(body, Not) and isinstance(body.child, Or):
             d = body.child
-            return And(Always(Not(d.left)), Always(Not(d.right)))
+            return And(
+                step(Always(step(Not(d.left)))),
+                step(Always(step(Not(d.right)))),
+            )
         if isinstance(body, Implies):
             if isinstance(body.right, And):
                 c = body.right
                 return And(
-                    Always(Implies(body.left, c.left)),
-                    Always(Implies(body.left, c.right)),
+                    step(Always(Implies(body.left, c.left))),
+                    step(Always(Implies(body.left, c.right))),
                 )
             if isinstance(body.right, Not):
-                return Not(Eventually(And(body.left, body.right.child)))
+                return Not(step(Eventually(And(body.left, body.right.child))))
     if isinstance(g, Eventually):
         body = g.child
         if isinstance(body, Or):
-            return Or(Eventually(body.left), Eventually(body.right))
+            return Or(
+                step(Eventually(body.left)), step(Eventually(body.right))
+            )
         if isinstance(body, Not) and isinstance(body.child, And):
             c = body.child
-            return Or(Eventually(Not(c.left)), Eventually(Not(c.right)))
+            return Or(
+                step(Eventually(step(Not(c.left)))),
+                step(Eventually(step(Not(c.right)))),
+            )
     return g
 
 
@@ -346,11 +366,7 @@ def rewrite_logic(f: Formula) -> Formula:
     disjunction (also through a negated disjunction or conjunction),
     splits an implication with a conjunctive consequent, turns
     ``G(a -> !b)`` into ``!F(a & b)``, removes double negation and
-    normalizes negated edge arguments.  Applied to a fixpoint.
+    normalizes negated edge arguments.  The result is a fixpoint: no
+    rewrite applies anywhere in it.
     """
-    for _ in range(200):
-        g = transform_bottom_up(f, _rewrite_step)
-        if g == f:
-            return f
-        f = g
-    raise RuntimeError("rewrite did not reach a fixpoint")
+    return transform_bottom_up(f, _rewrite_step)

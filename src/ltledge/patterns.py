@@ -237,13 +237,23 @@ class Catalog:
         )
 
 
+class _SharedCatalog(Catalog):
+    """The process-wide catalog; it holds the built-in templates only."""
+
+    def load_user(self, text: str) -> tuple[str, ...]:
+        raise ValueError(
+            "the shared catalog holds the built-in templates only; "
+            "load user templates into a fresh Catalog()"
+        )
+
+
 @lru_cache(maxsize=1)
 def _default_catalog() -> Catalog:
-    return Catalog()
+    return _SharedCatalog()
 
 
 def catalog() -> Catalog:
-    """The catalog of built-in templates (shared instance)."""
+    """The catalog of built-in templates (shared instance, read-only)."""
     return _default_catalog()
 
 

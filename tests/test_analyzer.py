@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,10 @@ from ltledge.analyzer import (
 )
 from ltledge.analyzer import _analyze
 from ltledge.formula import Atom, Next, RiseEdge
+from ltledge.patterns import catalog
 from ltledge.syntax import parse, render
+
+GOLDEN = Path(__file__).with_name("analyze_golden.json")
 
 
 def root_rule(text: str) -> Rule:
@@ -191,3 +195,59 @@ def test_unknown_blockers_render_without_duplicates():
     assert isinstance(verdict, Unknown)
     rendered = [render(b) for b in verdict.blockers]
     assert len(rendered) == len(set(rendered))
+
+
+def _verdict_doc(verdict) -> dict:
+    if isinstance(verdict, Closed):
+        return {"proof": proof_to_doc(verdict.proof)}
+    return {"blockers": [render(b) for b in verdict.blockers]}
+
+
+def test_analyze_reproduces_the_golden_corpus():
+    # Verdicts recorded before the prover and the checker were rebuilt
+    # around one rule table; see the description fields of the file.
+    doc = json.loads(GOLDEN.read_text())
+    seen: set[str] = set()
+    for case in doc["cases"]:
+        f = parse(case["formula"])
+        verdict = _analyze(f, {}) if case.get("raw") else analyze(f)
+        want = {k: case[k] for k in ("proof", "blockers") if k in case}
+        assert _verdict_doc(verdict) == want, case["formula"]
+        stack = [want["proof"]] if "proof" in want else []
+        while stack:
+            node = stack.pop()
+            seen.add(node["rule"])
+            stack.extend(node["premises"])
+    assert seen == {r.value for r in Rule}
+
+
+def _relabelings(p: ProofTree):
+    """Copies of ``p`` with exactly one node carrying a different rule."""
+    for rule in Rule:
+        if rule is not p.rule:
+            yield dataclasses.replace(p, rule=rule)
+    for i, q in enumerate(p.premises):
+        for wrong in _relabelings(q):
+            premises = p.premises[:i] + (wrong,) + p.premises[i + 1 :]
+            yield dataclasses.replace(p, premises=premises)
+
+
+def test_check_proof_rejects_every_wrong_rule_label():
+    proofs = [
+        analyze(catalog().get("existence/D/1").body).proof,
+        analyze(parse("F(down a & X b)")).proof,
+        _analyze(parse("F(!a & X a & X b)"), {}).proof,
+        analyze(parse("G(p & q)")).proof,
+        analyze(parse("F(p U q) | true")).proof,
+    ]
+    used: set[Rule] = set()
+    for proof in proofs:
+        assert check_proof(proof)
+        stack = [proof]
+        while stack:
+            node = stack.pop()
+            used.add(node.rule)
+            stack.extend(node.premises)
+        for wrong in _relabelings(proof):
+            assert not check_proof(wrong)
+    assert used == set(Rule)

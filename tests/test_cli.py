@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ltledge
 from ltledge.cli import main
 from ltledge.syntax import parse
 
@@ -199,9 +202,13 @@ def test_unknown_trace_atom_is_a_clean_error(run, trace_file):
 
 
 def test_console_script_entry_point():
+    # the child imports ltledge from where this process found it, so the
+    # test also runs from a checkout where the package is not installed
+    src = str(Path(ltledge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ltledge", "analyze", "F(up a)"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "Closed\n"

@@ -114,6 +114,14 @@ def test_rewrite_logic_distributes_temporal_over_junctions():
     assert rewrite_logic(parse("F(p | q)")) == parse("F p | F q")
 
 
+def test_rewrite_logic_reaches_its_fixpoint_in_one_pass():
+    # each distribution step re-normalizes the nodes it builds, so a wide
+    # conjunction under G needs no pass per operand
+    names = [f"a{i}" for i in range(300)]
+    f = parse("G(" + " & ".join(names) + ")")
+    assert rewrite_logic(f) == parse(" & ".join(f"G {n}" for n in names))
+
+
 @settings(max_examples=200)
 @given(formula_strategy())
 def test_rebuild_identity(f):

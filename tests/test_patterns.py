@@ -147,3 +147,11 @@ def test_singleton_catalog_is_not_mutated_by_user_loads():
     cat = Catalog()
     cat.load_user(json.dumps([{"id": "t", "metavariables": ["P"], "body": "F p"}]))
     assert len(catalog().ids()) == 20
+
+
+def test_shared_catalog_refuses_user_templates():
+    doc = json.dumps([{"id": "t", "metavariables": ["P"], "body": "F p"}])
+    with pytest.raises(ValueError, match=r"Catalog\(\)"):
+        catalog().load_user(doc)
+    report = check_catalog()
+    assert len(report.entries) == 20 and report.all_closed
