@@ -35,6 +35,10 @@ from .semantics import (
 from .syntax import parse, render
 
 _CHUNK_TARGET_ROWS = 1 << 17
+# Lasso positions (rows x columns) that the largest array of one search
+# block may hold, as a power of two.  The defaults need 2**17 rows x 11
+# columns at 3 atoms.
+_SEARCH_BUDGET_BITS = 23
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,36 @@ def _atoms_for(f: Formula, bounds: SearchBounds) -> tuple[str, ...]:
             f"{bounds.atom_cap}; a larger cap needs "
             f"SearchBounds(atom_cap=...) in the Python API"
         )
+    _check_budget(len(names), bounds)
     return names
+
+
+def _check_budget(num_atoms: int, bounds: SearchBounds) -> None:
+    """Reject bounds whose largest search block is over the budget.
+
+    The largest array is either every loop of the longest length or one
+    block of (loop chunk) x (every stem of the longest length), each
+    ``max_stem + max_unroll * max_loop + 1`` positions wide once unrolled
+    and stuttered.  Row counts are powers of two, kept as exponents.
+    """
+    stem_bits = num_atoms * bounds.max_stem
+    loop_bits = num_atoms * bounds.max_loop
+    chunk_bits = _CHUNK_TARGET_ROWS.bit_length() - 1
+    row_bits = max(loop_bits,
+                   min(loop_bits, max(0, chunk_bits - stem_bits)) + stem_bits)
+    columns = bounds.max_stem + bounds.max_unroll * bounds.max_loop + 1
+    if (row_bits <= _SEARCH_BUDGET_BITS
+            and columns << row_bits <= 1 << _SEARCH_BUDGET_BITS):
+        return
+    if row_bits <= chunk_bits:
+        name = "max_unroll"
+    else:
+        name = "max_loop" if row_bits == loop_bits else "max_stem"
+    raise ValueError(
+        f"SearchBounds({name}={getattr(bounds, name)}) needs search blocks "
+        f"of 2**{row_bits} lassos x {columns} positions ({num_atoms} "
+        f"atoms), over the budget of 2**{_SEARCH_BUDGET_BITS} lasso positions"
+    )
 
 
 def _reconstruct(f: Formula, atom_names: tuple[str, ...], loop_len: int,

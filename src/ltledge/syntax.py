@@ -1,24 +1,24 @@
 """Concrete syntax: parsing and rendering of formulas.
 
-Grammar, loosest binding first::
+Two tables define the operators; the tokenizer, the parser and the
+renderer all read them.  ``PREFIX`` maps each prefix keyword to its node
+class; prefix operators bind tightest.  ``INFIX`` gives each infix symbol
+its node class, binding level and associativity, loosest first: ``<->``
+and ``->`` right, ``|`` and ``&`` left, ``U`` right.  An operand is
+``true``, ``false``, an atom (a lowercase identifier that is not a
+keyword) or a parenthesized formula.
 
-    iff     := implies ('<->' iff)?
-    implies := or ('->' implies)?
-    or      := and ('|' and)*
-    and     := until ('&' until)*
-    until   := unary ('U' until)?
-    unary   := ('!' | 'X' | 'G' | 'F' | 'up' | 'down' | 'edge') unary
-             | 'true' | 'false' | ident | '(' iff ')'
-
-Atoms are lowercase identifiers; ``true``, ``false``, ``up``, ``down``
-and ``edge`` are reserved.  ``render`` emits the minimal parenthesization
-that reparses to the same tree.
+``parse`` is one precedence-climbing loop over ``INFIX``; a run of prefix
+operators is folded around its operand.  Each prefix operator,
+parenthesis and right-associative operator whose operand is still being
+read is one nesting level, and more than ``MAX_NESTING`` levels is a
+:class:`ParseError`; ``&`` and ``|`` chains do not nest.  ``render``
+emits the minimal parenthesization that reparses to the same tree.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .formula import (
     Always,
@@ -39,7 +39,28 @@ from .formula import (
     Until,
 )
 
-RESERVED = ("true", "false", "up", "down", "edge")
+PREFIX = {
+    "!": Not, "X": Next, "G": Always, "F": Eventually,
+    "up": RiseEdge, "down": FallEdge, "edge": AnyEdge,
+}
+INFIX = {  # symbol -> (node class, binding level, right associative)
+    "<->": (Iff, 1, True),
+    "->": (Implies, 2, True),
+    "|": (Or, 3, False),
+    "&": (And, 4, False),
+    "U": (Until, 5, True),
+}
+MAX_NESTING = 100
+_CONSTANTS = {"true": ConstTrue, "false": ConstFalse}
+
+_SYMBOLS = [s for s in (*PREFIX, *INFIX, "(", ")") if not s.isalpha()]
+# Per token: a word or symbol (group 1), a stray character (group 2), or
+# the end of the text (neither).
+_TOKEN_RE = re.compile(
+    r"\s*(?:([a-z][a-z0-9_]*|[A-Z]|%s)|(.)|\Z)"
+    % "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))),
+    re.DOTALL,
+)
 
 
 class ParseError(ValueError):
@@ -50,230 +71,123 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    pos: int
-
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<ident>[a-z][a-z0-9_]*)
-  | (?P<upper>[A-Z])
-  | (?P<iff><->)
-  | (?P<implies>->)
-  | (?P<bang>!)
-  | (?P<amp>&)
-  | (?P<pipe>\|)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-    """,
-    re.VERBOSE,
-)
-
-_TEMPORAL = {"X": Next, "G": Always, "F": Eventually}
-_EDGES = {"up": RiseEdge, "down": FallEdge, "edge": AnyEdge}
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        assert kind is not None
-        if kind != "ws":
-            word = m.group()
-            if kind == "upper" and word not in ("U", "X", "G", "F"):
-                raise ParseError(f"unknown operator {word!r}", pos)
-            if kind == "ident" and word in RESERVED:
-                kind = word
-            tokens.append(Token(kind, word, pos))
-        pos = m.end()
-    tokens.append(Token("end", "", len(text)))
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """(token, position) pairs, ending with ``("", len(text))``."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        word, stray = m.groups()
+        if stray is not None:
+            raise ParseError(f"unexpected character {stray!r}", m.start(2))
+        if word is None:
+            break
+        if word.isupper() and word not in PREFIX and word not in INFIX:
+            raise ParseError(f"unknown operator {word!r}", m.start(1))
+        tokens.append((word, m.start(1)))
+    tokens.append(("", len(text)))
     return tokens
 
 
+def _nest(depth: int, pos: int) -> int:
+    if depth >= MAX_NESTING:
+        raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", pos)
+    return depth + 1
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
         self.index = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.index]
+    def formula(self, depth: int, min_level: int = 1) -> Formula:
+        out = self.operand(depth)
+        while True:
+            symbol, pos = self.tokens[self.index]
+            op = INFIX.get(symbol)
+            if op is None or op[1] < min_level:
+                return out
+            kind, level, right_assoc = op
+            self.index += 1
+            if right_assoc:
+                out = kind(out, self.formula(_nest(depth, pos), level))
+            else:
+                out = kind(out, self.formula(depth, level + 1))
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.index]
+    def operand(self, depth: int) -> Formula:
+        wrappers = []
+        text, pos = self.tokens[self.index]
+        while text in PREFIX:
+            depth = _nest(depth, pos)
+            wrappers.append(PREFIX[text])
+            keyword, keyword_pos = text, pos
+            self.index += 1
+            text, pos = self.tokens[self.index]
         self.index += 1
-        return tok
-
-    def parse_iff(self) -> Formula:
-        left = self.parse_implies()
-        if self.peek().kind == "iff":
-            self.advance()
-            return Iff(left, self.parse_iff())
-        return left
-
-    def parse_implies(self) -> Formula:
-        left = self.parse_or()
-        if self.peek().kind == "implies":
-            self.advance()
-            return Implies(left, self.parse_implies())
-        return left
-
-    def parse_or(self) -> Formula:
-        out = self.parse_and()
-        while self.peek().kind == "pipe":
-            self.advance()
-            out = Or(out, self.parse_and())
+        if text == "(":
+            out = self.formula(_nest(depth, pos))
+            closing, pos = self.tokens[self.index]
+            self.index += 1
+            if closing != ")":
+                raise ParseError("expected ')'", pos)
+        elif text in _CONSTANTS:
+            out = _CONSTANTS[text]()
+        elif text[:1].islower():
+            out = Atom(text)
+        elif wrappers and keyword.islower():
+            raise ParseError(
+                f"reserved word {keyword!r} is an operator and needs an "
+                "operand; it cannot be used as an atom",
+                keyword_pos,
+            )
+        elif not text:
+            raise ParseError("unexpected end of input: expected a formula", pos)
+        else:
+            raise ParseError(f"expected a formula, found {text!r}", pos)
+        for kind in reversed(wrappers):
+            out = kind(out)
         return out
-
-    def parse_and(self) -> Formula:
-        out = self.parse_until()
-        while self.peek().kind == "amp":
-            self.advance()
-            out = And(out, self.parse_until())
-        return out
-
-    def parse_until(self) -> Formula:
-        left = self.parse_unary()
-        if self.peek().kind == "upper" and self.peek().text == "U":
-            self.advance()
-            return Until(left, self.parse_until())
-        return left
-
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "bang":
-            self.advance()
-            return Not(self.parse_unary())
-        if tok.kind == "upper" and tok.text in _TEMPORAL:
-            self.advance()
-            return _TEMPORAL[tok.text](self.parse_unary())
-        if tok.kind in _EDGES:
-            self.advance()
-            if not self._starts_formula(self.peek()):
-                raise ParseError(
-                    f"reserved word {tok.text!r} is an operator and needs an "
-                    "operand; it cannot be used as an atom",
-                    tok.pos,
-                )
-            return _EDGES[tok.kind](self.parse_unary())
-        return self.parse_primary()
-
-    def _starts_formula(self, tok: Token) -> bool:
-        return (
-            tok.kind in ("bang", "ident", "true", "false", "lparen")
-            or tok.kind in _EDGES
-            or (tok.kind == "upper" and tok.text in _TEMPORAL)
-        )
-
-    def parse_primary(self) -> Formula:
-        tok = self.advance()
-        if tok.kind == "ident":
-            return Atom(tok.text)
-        if tok.kind == "true":
-            return ConstTrue()
-        if tok.kind == "false":
-            return ConstFalse()
-        if tok.kind == "lparen":
-            inner = self.parse_iff()
-            closing = self.advance()
-            if closing.kind != "rparen":
-                raise ParseError("expected ')'", closing.pos)
-            return inner
-        if tok.kind == "end":
-            raise ParseError("unexpected end of input: expected a formula", tok.pos)
-        raise ParseError(f"expected a formula, found {tok.text!r}", tok.pos)
 
 
 def parse(text: str) -> Formula:
     """Parse ``text`` into a formula, raising :class:`ParseError` on failure."""
-    parser = _Parser(tokenize(text))
-    out = parser.parse_iff()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(f"unexpected trailing input {tail.text!r}", tail.pos)
+    parser = _Parser(text)
+    out = parser.formula(0)
+    tail, pos = parser.tokens[parser.index]
+    if tail:
+        raise ParseError(f"unexpected trailing input {tail!r}", pos)
     return out
 
 
-_LEVEL_IFF = 1
-_LEVEL_IMPLIES = 2
-_LEVEL_OR = 3
-_LEVEL_AND = 4
-_LEVEL_UNTIL = 5
-_LEVEL_UNARY = 6
-_LEVEL_LEAF = 7
-
-
-def _level(f: Formula) -> int:
-    if isinstance(f, Iff):
-        return _LEVEL_IFF
-    if isinstance(f, Implies):
-        return _LEVEL_IMPLIES
-    if isinstance(f, Or):
-        return _LEVEL_OR
-    if isinstance(f, And):
-        return _LEVEL_AND
-    if isinstance(f, Until):
-        return _LEVEL_UNTIL
-    if isinstance(f, (Not, Next, Always, Eventually, RiseEdge, FallEdge, AnyEdge)):
-        return _LEVEL_UNARY
-    return _LEVEL_LEAF
-
-
-def _wrap(f: Formula, minimum: int) -> str:
-    text = render(f)
-    if _level(f) < minimum:
-        return "(" + text + ")"
-    return text
-
-
-def _prefix(keyword: str, child: Formula) -> str:
-    text = _wrap(child, _LEVEL_UNARY)
-    if keyword == "!":
-        return "!" + text
-    if text.startswith("("):
-        return keyword + text
-    return keyword + " " + text
+# The tables inverted for render: node class -> (keyword before "(",
+# keyword before anything else), or -> (" symbol ", level, right assoc).
+_PREFIX_OF = {
+    kind: (word, word + " " if word.isalpha() else word)
+    for word, kind in PREFIX.items()
+}
+_INFIX_OF = {kind: (f" {sym} ", *rest) for sym, (kind, *rest) in INFIX.items()}
+_CONSTANT_OF = {kind: word for word, kind in _CONSTANTS.items()}
+_PREFIX_LEVEL = 1 + max(level for _, level, _ in INFIX.values())
 
 
 def render(f: Formula) -> str:
     """Minimal-parenthesis concrete syntax; ``parse(render(f)) == f``."""
-    if isinstance(f, Atom):
+    return _render(f, 0)
+
+
+def _render(f: Formula, minimum: int) -> str:
+    """``render(f)``, parenthesized if ``f`` binds looser than ``minimum``."""
+    kind = type(f)
+    if kind in _INFIX_OF:
+        symbol, level, right_assoc = _INFIX_OF[kind]
+        # The operand on the associative side may bind at the same level.
+        text = (_render(f.left, level + right_assoc) + symbol
+                + _render(f.right, level + (not right_assoc)))
+        return text if level >= minimum else "(" + text + ")"
+    if kind in _PREFIX_OF:
+        word, spaced = _PREFIX_OF[kind]
+        text = _render(f.child, _PREFIX_LEVEL)
+        return (word if text[0] == "(" else spaced) + text
+    if kind is Atom:
         return f.name
-    if isinstance(f, ConstTrue):
-        return "true"
-    if isinstance(f, ConstFalse):
-        return "false"
-    if isinstance(f, Not):
-        return _prefix("!", f.child)
-    if isinstance(f, Next):
-        return _prefix("X", f.child)
-    if isinstance(f, Always):
-        return _prefix("G", f.child)
-    if isinstance(f, Eventually):
-        return _prefix("F", f.child)
-    if isinstance(f, RiseEdge):
-        return _prefix("up", f.child)
-    if isinstance(f, FallEdge):
-        return _prefix("down", f.child)
-    if isinstance(f, AnyEdge):
-        return _prefix("edge", f.child)
-    if isinstance(f, Until):
-        return _wrap(f.left, _LEVEL_UNTIL + 1) + " U " + _wrap(f.right, _LEVEL_UNTIL)
-    if isinstance(f, And):
-        return _wrap(f.left, _LEVEL_AND) + " & " + _wrap(f.right, _LEVEL_AND + 1)
-    if isinstance(f, Or):
-        return _wrap(f.left, _LEVEL_OR) + " | " + _wrap(f.right, _LEVEL_OR + 1)
-    if isinstance(f, Implies):
-        return (
-            _wrap(f.left, _LEVEL_IMPLIES + 1) + " -> " + _wrap(f.right, _LEVEL_IMPLIES)
-        )
-    if isinstance(f, Iff):
-        return _wrap(f.left, _LEVEL_IFF + 1) + " <-> " + _wrap(f.right, _LEVEL_IFF)
+    if kind in _CONSTANT_OF:
+        return _CONSTANT_OF[kind]
     raise TypeError(f"not a formula: {f!r}")

@@ -188,6 +188,40 @@ def test_errors_exit_with_two(run, tmp_path):
         assert err.startswith("error:"), argv
 
 
+def test_too_deep_nesting_is_a_usage_error(run):
+    code, out, err = run("analyze", "!" * 2000 + "a")
+    assert (code, out) == (2, "")
+    assert "nested deeper than 100 levels" in err
+
+
+def test_search_over_the_size_budget_is_a_usage_error(run):
+    code, out, err = run("falsify", "a & b & c", "--stem-max", "12")
+    assert (code, out) == (2, "")
+    assert "SearchBounds(max_stem=12)" in err and "budget" in err
+    assert "Traceback" not in err
+
+
+def test_internal_errors_exit_with_three(run, monkeypatch):
+    def broken(f):
+        raise RuntimeError("analyzer fault")
+
+    monkeypatch.setattr("ltledge.cli.analyze", broken)
+    code, out, err = run("analyze", "a")
+    assert (code, out, err) == (
+        3, "", "internal error: RuntimeError: analyzer fault\n"
+    )
+
+
+def test_internal_error_on_a_wide_formula_exits_with_three(run):
+    # 300 conjuncts under G still exhaust the analyzer's recursion; the
+    # fault must not read as the exit code 1 of an Unknown verdict.
+    code, out, err = run(
+        "analyze", "G(" + " & ".join(f"a{i}" for i in range(300)) + ")"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ") and "Traceback" not in err
+
+
 def test_usage_errors_follow_argparse_convention(run, capsys):
     with pytest.raises(SystemExit) as info:
         main(["eval", "zz", "--position", "0"])

@@ -99,6 +99,23 @@ def test_atom_cap_is_enforced_but_adjustable():
     assert cex is not None
 
 
+def test_search_size_is_checked_before_allocating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerate_states called")
+
+    cex = falsify(parse("X a"))
+    monkeypatch.setattr("ltledge.falsifier.enumerate_states", refuse)
+    too_long = SearchBounds(max_stem=12)
+    with pytest.raises(ValueError, match=r"max_stem=12\).*budget of 2\*\*23"):
+        falsify(parse("a & b & c"), too_long)
+    with pytest.raises(ValueError, match="max_loop=9"):
+        falsify(parse("a & b & c"), SearchBounds(max_loop=9))
+    with pytest.raises(ValueError, match="max_unroll=50"):
+        falsify(parse("a & b & c"), SearchBounds(max_unroll=50))
+    with pytest.raises(ValueError, match="max_stem=30"):
+        minimize(cex, SearchBounds(max_stem=30))
+
+
 def test_counterexample_document_round_trip():
     cex = falsify(parse("X a U b"))
     assert cex_from_doc(cex_to_doc(cex)) == cex

@@ -1,11 +1,15 @@
-"""Parser and renderer: grammar shape, precedence, and the round trip."""
+"""Parser and renderer: grammar, round trip, golden corpus, nesting limit."""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import formula_strategy
+from ltledge.analyzer import Closed, analyze, check_proof
 from ltledge.formula import (
     Always,
     And,
@@ -22,8 +26,12 @@ from ltledge.formula import (
     Or,
     RiseEdge,
     Until,
+    children_of,
 )
-from ltledge.syntax import ParseError, parse, render
+from ltledge.semantics import LassoTrace, eval_formula, eval_oracle
+from ltledge.syntax import MAX_NESTING, ParseError, parse, render
+
+GOLDEN = Path(__file__).with_name("parse_golden.json")
 
 
 def test_parse_atoms_and_constants():
@@ -110,3 +118,57 @@ def test_render_golden_pattern_body():
 @given(formula_strategy(max_leaves=25))
 def test_parse_render_round_trip(f):
     assert parse(render(f)) == f
+
+
+def _tree(f) -> str:
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, (ConstTrue, ConstFalse)):
+        return render(f)
+    inner = ",".join(_tree(c) for c in children_of(f))
+    return f"{type(f).__name__}({inner})"
+
+
+def test_parse_and_render_reproduce_the_golden_corpus():
+    # Trees, renderings and errors recorded from the hand-written parser
+    # that preceded the operator tables; see the description fields.
+    doc = json.loads(GOLDEN.read_text())
+    for text, tree, rendered in doc["cases_valid"]:
+        f = parse(text)
+        assert (_tree(f), render(f)) == (tree, rendered), text
+    for text, message, pos in doc["cases_malformed"]:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (str(info.value), info.value.pos) == (message, pos), text
+
+
+NESTING_CHAINS = {
+    "G": lambda n: "G " * n + "a",
+    "F": lambda n: "F " * n + "a",
+    "!": lambda n: "!" * n + "a",
+    "X": lambda n: "X " * n + "a",
+    "up": lambda n: "up " * n + "a",
+    "()": lambda n: "(" * n + "a" + ")" * n,
+    "->": lambda n: " -> ".join(["a"] * (n + 1)),
+    "U": lambda n: " U ".join(["a"] * (n + 1)),
+}
+
+
+@pytest.mark.parametrize("make", NESTING_CHAINS.values(), ids=NESTING_CHAINS)
+def test_nesting_limit(make):
+    assert MAX_NESTING == 100
+    f = parse(make(MAX_NESTING))
+    assert parse(render(f)) == f
+    verdict = analyze(f)
+    if isinstance(verdict, Closed):
+        assert check_proof(verdict.proof)
+    trace = LassoTrace(("a",), ((True,),), ((False,), (True,)))
+    assert eval_formula(f, trace) == eval_oracle(f, trace)
+    with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+        parse(make(MAX_NESTING + 1))
+
+
+def test_long_conjunctions_are_not_nesting():
+    text = "G(" + " & ".join(f"a{i}" for i in range(300)) + ")"
+    f = parse(text)
+    assert render(f) == text
