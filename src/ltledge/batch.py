@@ -1,13 +1,21 @@
 """Exact evaluation of one formula over many same-shape lassos.
 
 Home of the package's two evaluation algorithms, each implemented once.
-Not part of the public API: the falsifier calls :func:`label_block`,
-and ``semantics.eval_formula`` / ``semantics.eval_oracle`` are one-row
-calls of the two routes.  Both routes label every distinct subformula
-bottom-up over the canonical positions ``0 ..< stem + loop`` and share
-the pointwise connectives, ``Next`` and the edges (the successor of the
-last position wraps to the loop start).  They resolve ``G``/``F``/``U``
-independently:
+Not part of the public API: the falsifier runs the compiled program and
+:func:`step` directly, and ``semantics.eval_formula`` /
+``semantics.eval_oracle`` are one-row calls of the two routes.
+
+A formula is compiled once (:func:`compile_formula`) into a flat
+post-order program: one instruction ``(node class, slot, slot)`` per
+distinct subformula, children before parents and the root last, where
+the slots are the children's instruction numbers (an atom's first slot
+is its column in the atom tuple).  :func:`_root_rows` runs the program
+over a block of lassos and keeps every node's truth at every canonical
+position ``0 ..< stem + loop`` in one position-major tensor of shape
+(positions, nodes, lassos), so no call walks or hashes the formula tree.
+Both routes share the pointwise connectives, ``Next`` and the edges
+(the successor of the last position wraps to the loop start).  They
+resolve ``G``/``F``/``U`` independently:
 
 * the window route (:func:`window_block`, ``eval_formula``) scans
   forward over a loop-doubled copy of each row, up to the witness bound
@@ -17,6 +25,10 @@ independently:
 
 Keeping the two resolvers separate is what makes the eval/eval_oracle
 cross-check, and the falsifier's re-check of its candidates, meaningful.
+
+Every node's value at a position is a function of the letter there, its
+children's values there, and the node vector at the next position; that
+one-position form of the program is :func:`step`.
 """
 
 from __future__ import annotations
@@ -43,8 +55,37 @@ from .formula import (
     Or,
     RiseEdge,
     Until,
-    subformulas,
+    children_of,
 )
+
+# A compiled formula: (node class, slot, slot) per distinct subformula, in
+# post-order; unused slots are -1.
+Program = tuple[tuple[type, int, int], ...]
+
+# Node class -> value from the children's values at the same position.
+_POINTWISE = {
+    ConstTrue: lambda a, b: True,
+    ConstFalse: lambda a, b: False,
+    Not: lambda a, b: ~a,
+    And: lambda a, b: a & b,
+    Or: lambda a, b: a | b,
+    Implies: lambda a, b: ~a | b,
+    Iff: lambda a, b: a == b,
+}
+# Node class -> value from the child's values now and at the next position.
+_SUCCESSOR = {
+    Next: lambda now, nxt: nxt,
+    RiseEdge: lambda now, nxt: ~now & nxt,
+    FallEdge: lambda now, nxt: now & ~nxt,
+    AnyEdge: lambda now, nxt: now != nxt,
+}
+# Node class -> value from the children's values now and the node's own
+# value at the next position.
+_RECURRENCE = {
+    Eventually: lambda a, b, nxt: a | nxt,
+    Always: lambda a, b, nxt: a & nxt,
+    Until: lambda a, b, nxt: b | (a & nxt),
+}
 
 
 @lru_cache(maxsize=64)
@@ -68,67 +109,77 @@ def enumerate_states(num_atoms: int, length: int) -> np.ndarray:
     return out
 
 
-def _shifted(arr: np.ndarray, wrap_to: int) -> np.ndarray:
-    """Successor view: column p becomes column p+1, last wraps to ``wrap_to``."""
-    out = np.empty_like(arr)
-    out[:, :-1] = arr[:, 1:]
-    out[:, -1] = arr[:, wrap_to]
-    return out
+def compile_formula(f: Formula, atoms: tuple[str, ...]) -> Program:
+    """Flat post-order program of ``f`` over the atom columns ``atoms``.
+
+    Equal subformulas share one instruction: each is keyed by its class
+    and its children's slots, so no subtree is hashed.  Raises KeyError
+    for an atom not in ``atoms``.
+    """
+    column = {name: j for j, name in enumerate(atoms)}
+    slots: dict[tuple, int] = {}
+    done: list[int] = []  # slots of finished subformulas, innermost last
+    todo: list[tuple[Formula, bool]] = [(f, False)]
+    while todo:
+        g, expanded = todo.pop()
+        kids = children_of(g)
+        if kids and not expanded:
+            todo.append((g, True))
+            todo.extend((c, False) for c in reversed(kids))
+            continue
+        kind = type(g)
+        if kind is Atom:
+            args = [column[g.name]]
+        elif kind in _POINTWISE or kind in _SUCCESSOR or kind in _RECURRENCE:
+            args = done[len(done) - len(kids):]
+            del done[len(done) - len(kids):]
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        key = (kind, *args, *[-1] * (2 - len(args)))
+        done.append(slots.setdefault(key, len(slots)))
+    return tuple(slots)
 
 
-def _boolean_row(g: Formula, label: dict, cells: np.ndarray, index: dict,
-                 wrap_to: int) -> np.ndarray | None:
-    """Rows shared by both routes: atoms, constants, connectives, steps."""
-    n, cols = cells.shape[0], cells.shape[1]
-    if isinstance(g, Atom):
-        return cells[:, :, index[g.name]]
-    if isinstance(g, ConstTrue):
-        return np.ones((n, cols), dtype=bool)
-    if isinstance(g, ConstFalse):
-        return np.zeros((n, cols), dtype=bool)
-    if isinstance(g, Not):
-        return ~label[g.child]
-    if isinstance(g, And):
-        return label[g.left] & label[g.right]
-    if isinstance(g, Or):
-        return label[g.left] | label[g.right]
-    if isinstance(g, Implies):
-        return ~label[g.left] | label[g.right]
-    if isinstance(g, Iff):
-        return label[g.left] == label[g.right]
-    if isinstance(g, Next):
-        return _shifted(label[g.child], wrap_to)
-    if isinstance(g, RiseEdge):
-        child = label[g.child]
-        return ~child & _shifted(child, wrap_to)
-    if isinstance(g, FallEdge):
-        child = label[g.child]
-        return child & ~_shifted(child, wrap_to)
-    if isinstance(g, AnyEdge):
-        child = label[g.child]
-        return child != _shifted(child, wrap_to)
-    return None
+def step(program: Program, letter: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """Node vectors at one position, from the letter there and the next one.
+
+    ``letter`` has shape (atoms, lassos) and ``nxt``, the node vectors at
+    the next position, (nodes, lassos); so does the result.
+    """
+    cur = np.empty_like(nxt)
+    for slot, (kind, a, b) in enumerate(program):
+        if kind is Atom:
+            cur[slot] = letter[a]
+        elif kind in _POINTWISE:
+            cur[slot] = _POINTWISE[kind](cur[a], cur[b])
+        elif kind in _SUCCESSOR:
+            cur[slot] = _SUCCESSOR[kind](cur[a], nxt[a])
+        else:
+            cur[slot] = _RECURRENCE[kind](cur[a], cur[b], nxt[slot])
+    return cur
 
 
 def _first_at_or_after(hits: np.ndarray) -> np.ndarray:
-    """Per column p, the first column ``>= p`` where ``hits`` holds.
+    """Per position p, the first position ``>= p`` where ``hits`` holds.
 
-    Rows without such a column get the row width.
+    Lassos without such a position get the number of positions.
     """
-    width = hits.shape[1]
-    first = np.where(hits, np.arange(width), width)
-    return np.minimum.accumulate(first[:, ::-1], axis=1)[:, ::-1]
+    length = hits.shape[0]
+    first = np.where(hits, np.arange(length)[:, None], length)
+    return np.minimum.accumulate(first[::-1], axis=0)[::-1]
 
 
-def _window_temporal(g: Formula, label: dict, stem_len: int,
-                     loop_len: int) -> np.ndarray:
+def _window_temporal(kind: type, left: np.ndarray, right: np.ndarray,
+                     out: np.ndarray, stem_len: int) -> None:
     """``G``/``F``/``U`` rows by a forward scan of a bounded window.
 
-    Each row is extended by a second loop copy, to ``stem + 2*loop``
-    columns, and a start ``p < stem + loop`` is judged on the columns
+    ``left`` and ``right`` are the children's rows (``left`` only for
+    ``G``/``F``), ``out`` the node's, each of shape (positions, lassos).
+    Each lasso is extended by a second loop copy, to ``stem + 2*loop``
+    positions, and a start ``p < stem + loop`` is judged on the positions
     from ``p`` up to that bound, with no fixpoint reasoning.  The window
     suffices: positions ``>= stem`` repeat with period ``loop``, so the
-    columns from ``p`` cover every suffix reachable from ``p``, and a
+    positions from ``p`` cover every suffix reachable from ``p``, and a
     witness (or violation) of ``F``/``G`` exists iff one exists in the
     window.  For strong until, if ``A U B`` holds at ``p`` with some
     witness, the *minimal* witness ``i0`` also works (it inherits ``A``
@@ -137,98 +188,92 @@ def _window_temporal(g: Formula, label: dict, stem_len: int,
     or after ``p`` and precede ``i0``, so it would be a smaller witness;
     hence ``i0`` always lies inside the window.
     """
-    width = stem_len + loop_len
+    width = out.shape[0]
 
-    def doubled(row: np.ndarray) -> np.ndarray:
-        return np.concatenate([row, row[:, stem_len:]], axis=1)
+    def doubled(rows: np.ndarray) -> np.ndarray:
+        return np.concatenate([rows, rows[stem_len:]], axis=0)
 
-    if isinstance(g, Eventually):
-        ext = doubled(label[g.child])
-        acc = np.logical_or.accumulate(ext[:, ::-1], axis=1)
-        return acc[:, ::-1][:, :width]
-    if isinstance(g, Always):
-        ext = doubled(label[g.child])
-        acc = np.logical_and.accumulate(ext[:, ::-1], axis=1)
-        return acc[:, ::-1][:, :width]
-    if isinstance(g, Until):
-        # A U B holds at p iff B holds at some column from p on, and A
-        # fails at no column from p before the first such one.
-        left, right = doubled(label[g.left]), doubled(label[g.right])
+    if kind is Until:
+        # A U B holds at p iff B holds at some position from p on, and A
+        # fails at no position from p before the first such one.
+        right = doubled(right)
         first_right = _first_at_or_after(right)
-        first_fail = _first_at_or_after(~left)
-        holds = (first_right < right.shape[1]) & (first_right <= first_fail)
-        return holds[:, :width]
-    raise TypeError(f"not a formula: {g!r}")
+        first_fail = _first_at_or_after(~doubled(left))
+        holds = (first_right < right.shape[0]) & (first_right <= first_fail)
+        out[...] = holds[:width]
+    else:
+        scan = np.logical_or if kind is Eventually else np.logical_and
+        out[...] = scan.accumulate(doubled(left)[::-1], axis=0)[::-1][:width]
 
 
-def _label_temporal(g: Formula, label: dict, stem_len: int,
-                    loop_len: int) -> np.ndarray:
+def _label_temporal(kind: type, left: np.ndarray, right: np.ndarray,
+                    out: np.ndarray, stem_len: int) -> None:
     """``G``/``F``/``U`` rows by backward fixpoint labeling.
 
-    The successor of the last position wraps to the loop start.  The
-    loop is resolved first (``F``/``G`` are constant across a loop, ``U``
-    needs two backward passes: a shortest witness path around the loop
-    crosses the wrap edge at most once), then values propagate back
-    through the stem.
+    Same arguments as :func:`_window_temporal`.  The successor of the
+    last position wraps to the loop start.  The loop is resolved first,
+    then values propagate back through the stem.  ``F``/``G`` are
+    constant across a loop, and their stem values are a backward
+    or/and-scan.  ``U`` runs its one-step recurrence (:data:`_RECURRENCE`)
+    backwards from the right child's rows: two passes around the loop
+    reach the fixpoint (a shortest witness path around the loop crosses
+    the wrap edge at most once), then one pass covers the stem.
     """
-    if isinstance(g, Eventually):
-        child = label[g.child]
-        row = np.empty_like(child)
-        # From inside the loop every loop position is in the future.
-        loop_any = child[:, stem_len:].any(axis=1)
-        row[:, stem_len:] = loop_any[:, None]
-        if stem_len:
-            stem_suffix = np.logical_or.accumulate(
-                child[:, stem_len - 1 :: -1], axis=1
-            )[:, ::-1]
-            row[:, :stem_len] = stem_suffix | loop_any[:, None]
-        return row
-    if isinstance(g, Always):
-        child = label[g.child]
-        row = np.empty_like(child)
-        loop_all = child[:, stem_len:].all(axis=1)
-        row[:, stem_len:] = loop_all[:, None]
-        if stem_len:
-            stem_suffix = np.logical_and.accumulate(
-                child[:, stem_len - 1 :: -1], axis=1
-            )[:, ::-1]
-            row[:, :stem_len] = stem_suffix & loop_all[:, None]
-        return row
-    if isinstance(g, Until):
-        left, right = label[g.left], label[g.right]
-        row = right.copy()
-        last = stem_len + loop_len - 1
-        for _ in range(2):
-            row[:, last] = right[:, last] | (left[:, last] & row[:, stem_len])
-            for p in range(last - 1, stem_len - 1, -1):
-                row[:, p] = right[:, p] | (left[:, p] & row[:, p + 1])
-        for p in range(stem_len - 1, -1, -1):
-            row[:, p] = right[:, p] | (left[:, p] & row[:, p + 1])
-        return row
-    raise TypeError(f"not a formula: {g!r}")
+    if kind is Until:
+        rule = _RECURRENCE[Until]
+        out[...] = right
+        last = out.shape[0] - 1
+        loop_pass = range(last, stem_len - 1, -1)
+        for p in [*loop_pass, *loop_pass, *range(stem_len - 1, -1, -1)]:
+            out[p] = rule(left[p], right[p],
+                          out[p + 1 if p < last else stem_len])
+        return
+    scan = np.logical_or if kind is Eventually else np.logical_and
+    # From inside the loop every loop position is in the future.
+    loop_value = scan.reduce(left[stem_len:], axis=0)
+    out[stem_len:] = loop_value
+    if stem_len:
+        stem_suffix = scan.accumulate(left[stem_len - 1 :: -1], axis=0)
+        out[:stem_len] = scan(stem_suffix[::-1], loop_value)
 
 
-_Temporal = Callable[[Formula, dict, int, int], np.ndarray]
+_Temporal = Callable[[type, np.ndarray, np.ndarray, np.ndarray, int], None]
 
 
-def _root_rows(f: Formula, atoms: tuple[str, ...], stems: np.ndarray,
-               loops: np.ndarray, temporal: _Temporal) -> np.ndarray:
-    """Truth of ``f`` at every canonical position ``0 ..< stem + loop``.
+def _root_rows(program: Program, cells: np.ndarray, stem_len: int,
+               temporal: _Temporal) -> np.ndarray:
+    """Truth of every node at every canonical position ``0 ..< stem + loop``.
 
-    Labels every distinct subformula bottom-up with a boolean matrix of
-    shape (traces, positions); ``temporal`` is the route's resolver for
-    ``G``/``F``/``U`` (:func:`_window_temporal` or :func:`_label_temporal`).
+    ``cells`` has shape (lassos, positions, atoms): the stems followed by
+    the loops.  Returns a boolean tensor of shape (positions, nodes,
+    lassos); the root is the last node.  ``temporal`` is the route's
+    resolver for ``G``/``F``/``U`` (:func:`_window_temporal` or
+    :func:`_label_temporal`).
     """
-    stem_len, loop_len = stems.shape[1], loops.shape[1]
+    rows = np.empty((cells.shape[1], len(program), cells.shape[0]), dtype=bool)
+    for slot, (kind, a, b) in enumerate(program):
+        out = rows[:, slot]
+        if kind is Atom:
+            out[...] = cells[:, :, a].T
+            continue
+        left, right = rows[:, a], rows[:, b]
+        if kind in _POINTWISE:
+            out[...] = _POINTWISE[kind](left, right)
+        elif kind in _SUCCESSOR:
+            rule = _SUCCESSOR[kind]
+            out[:-1] = rule(left[:-1], left[1:])
+            out[-1] = rule(left[-1], left[stem_len])
+        else:
+            temporal(kind, left, right, out, stem_len)
+    return rows
+
+
+def _block(f: Formula, atoms: tuple[str, ...], stems: np.ndarray,
+           loops: np.ndarray, temporal: _Temporal) -> np.ndarray:
     cells = np.concatenate([stems, loops], axis=1)
-    index = {name: j for j, name in enumerate(atoms)}
-    label: dict[Formula, np.ndarray] = {}
-    for g in subformulas(f):
-        row = _boolean_row(g, label, cells, index, stem_len)
-        if row is None:
-            row = temporal(g, label, stem_len, loop_len)
-        label[g] = row
-    return label[f]
+    rows = _root_rows(compile_formula(f, atoms), cells, stems.shape[1],
+                      temporal)
+    return rows[0, -1].copy()
 
 
 def window_block(f: Formula, atoms: tuple[str, ...], stems: np.ndarray,
@@ -238,10 +283,10 @@ def window_block(f: Formula, atoms: tuple[str, ...], stems: np.ndarray,
     ``stems`` has shape (n, stem_len, len(atoms)); ``loops`` likewise
     with a nonempty loop.  Returns a boolean vector of length n.
     """
-    return _root_rows(f, atoms, stems, loops, _window_temporal)[:, 0].copy()
+    return _block(f, atoms, stems, loops, _window_temporal)
 
 
 def label_block(f: Formula, atoms: tuple[str, ...], stems: np.ndarray,
                 loops: np.ndarray) -> np.ndarray:
     """Truth of ``f`` at position 0 for each lasso, labeling route."""
-    return _root_rows(f, atoms, stems, loops, _label_temporal)[:, 0].copy()
+    return _block(f, atoms, stems, loops, _label_temporal)

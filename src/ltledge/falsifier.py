@@ -3,8 +3,7 @@
 A counterexample to closure under stuttering is a lasso trace plus a
 position whose duplication flips the formula's value.  The search
 enumerates every lasso within the bounds (all loop contents, all stem
-contents, all unroll depths), evaluates the formula on each trace and on
-each one-state stutter of it with the vectorized labeling evaluator, and
+contents, all unroll depths) and every one-state stutter of it, and
 reports the first flip in a fixed deterministic order: shorter loops
 first, then loop contents lexicographically, then shorter stems, stem
 contents, unroll depth, stutter position.
@@ -13,6 +12,20 @@ Stutters are applied to the unrolled trace.  At unroll depth ``k`` only
 positions inside the k-th loop copy are new; duplicating an earlier
 position yields the same infinite word as a stutter at a smaller depth,
 so those are skipped.
+
+Each block of same-shape lassos is labeled once: the compiled formula
+(``batch.compile_formula``) gives every node's truth at every canonical
+position, by the labeling route.  No stuttered copy is built.
+Duplicating position ``i`` leaves the suffix after it unchanged, so the
+stuttered word's node vector at ``i + 1`` is the original one at ``i``,
+and its vector at ``i`` is one backward ``batch.step`` from there; that
+step depends only on the folded position, so it is taken once per
+canonical position for all unroll depths.  Only the lassos whose vector
+changed are swept back towards position 0, one step per position, and
+a lasso is dropped as soon as its vector matches the original labels
+again; a lasso still differing at the root at position 0 is a flip.
+Every candidate is re-checked on explicit traces by the scan route
+before it is returned.
 """
 
 from __future__ import annotations
@@ -22,7 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import enumerate_states, label_block
+from .batch import (
+    Program,
+    _label_temporal,
+    _root_rows,
+    compile_formula,
+    enumerate_states,
+    step,
+)
 from .formula import Formula, atoms_of
 from .semantics import (
     LassoTrace,
@@ -64,10 +84,39 @@ class Counterexample:
     value_after: bool
 
 
-def _stutter_positions(stem_len: int, loop_len: int, k: int) -> range:
-    if k == 0:
-        return range(stem_len)
-    return range(stem_len + (k - 1) * loop_len, stem_len + k * loop_len)
+def _diverging(program: Program, letters: np.ndarray, labels: np.ndarray,
+               q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows whose node vector at canonical position ``q`` changes when
+    the state there is duplicated, and their new node vectors.
+
+    After the duplication the next position carries the old suffix from
+    ``q``, so the new vector at ``q`` is one :func:`step` from
+    ``labels[q]``.
+    """
+    moved = step(program, letters[q], labels[q])
+    rows = np.flatnonzero((moved != labels[q]).any(axis=0))
+    return rows, moved[:, rows]
+
+
+def _sweep(program: Program, letters: np.ndarray, labels: np.ndarray,
+           fold, i: int, rows: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Rows among ``rows`` whose root at position 0 flips when position
+    ``i`` of the unrolled lasso is duplicated.
+
+    ``rows`` and their ``vectors`` at ``i`` come from :func:`_diverging`
+    at ``fold(i)``; each step back to ``j`` reads the letter and the
+    original labels at ``fold(j)``.  Positions before ``i`` keep their
+    letters, so a row whose vector matches the original labels again
+    matches at every earlier position too, and is dropped.
+    """
+    for j in range(i - 1, -1, -1):
+        if not rows.size:
+            break
+        q = fold(j)
+        vectors = step(program, letters[q][:, rows], vectors)
+        moved = (vectors != labels[q][:, rows]).any(axis=0)
+        rows, vectors = rows[moved], vectors[:, moved]
+    return rows[vectors[-1] != labels[0, -1, rows]]
 
 
 def _search_unit(payload) -> list[tuple]:
@@ -75,42 +124,50 @@ def _search_unit(payload) -> list[tuple]:
 
     Returns candidate tuples ``(loop_idx, stem_len, stem_idx, k, i,
     before, after)``, at most one per (stem_len, k, i): the first in
-    enumeration order.
+    enumeration order.  They are listed by (stem_len, k, i).
     """
-    f, atom_names, bounds, loop_len, chunk_start, chunk_size = payload
-    loops_all = enumerate_states(len(atom_names), loop_len)
-    loops = loops_all[chunk_start : chunk_start + chunk_size]
+    program, num_atoms, bounds, loop_len, chunk_start, chunk_size = payload
+    loops = enumerate_states(num_atoms, loop_len)
+    loops = loops[chunk_start : chunk_start + chunk_size]
     found: list[tuple] = []
     for stem_len in range(bounds.max_stem + 1):
-        stems = enumerate_states(len(atom_names), stem_len)
-        n_stems = stems.shape[0]
-        row_stems = np.tile(stems, (loops.shape[0], 1, 1))
-        row_loops = np.repeat(loops, n_stems, axis=0)
-        base = label_block(f, atom_names, row_stems, row_loops)
-        for k in range(bounds.max_unroll + 1):
-            pieces = [row_stems] + [row_loops] * k
-            unrolled = np.concatenate(pieces, axis=1)
-            for i in _stutter_positions(stem_len, loop_len, k):
-                stuttered = np.insert(unrolled, i + 1, unrolled[:, i, :],
-                                      axis=1)
-                vals = label_block(f, atom_names, stuttered, row_loops)
-                flips = np.flatnonzero(base != vals)
+        stems = enumerate_states(num_atoms, stem_len)
+        n_stems, width = stems.shape[0], stem_len + loop_len
+        # Row r holds loop r // n_stems after stem r % n_stems.
+        cells = np.empty((loops.shape[0], n_stems, width, num_atoms),
+                         dtype=bool)
+        cells[:, :, :stem_len] = stems
+        cells[:, :, stem_len:] = loops[:, None]
+        cells = cells.reshape(-1, width, num_atoms)
+        labels = _root_rows(program, cells, stem_len, _label_temporal)
+        letters = cells.transpose(1, 2, 0)
+
+        def fold(j: int) -> int:
+            return j if j < stem_len else stem_len + (j - stem_len) % loop_len
+
+        block: list[tuple] = []
+        for q in range(width):
+            # Unroll depths whose new positions fold to q: k = 0 for a
+            # stem position, else each k >= 1, at i = q + (k - 1) * loop.
+            depths = [0] if q < stem_len else range(1, bounds.max_unroll + 1)
+            if not depths:
+                continue
+            start = _diverging(program, letters, labels, q)
+            for k in depths:
+                i = q + max(0, k - 1) * loop_len
+                flips = _sweep(program, letters, labels, fold, i, *start)
                 if flips.size:
                     r = int(flips[0])
-                    found.append((
-                        chunk_start + r // n_stems,
-                        stem_len,
-                        r % n_stems,
-                        k,
-                        i,
-                        bool(base[r]),
-                        bool(vals[r]),
-                    ))
+                    before = bool(labels[0, -1, r])
+                    block.append((chunk_start + r // n_stems, stem_len,
+                                  r % n_stems, k, i, before, not before))
+        found.extend(sorted(block, key=lambda c: (c[3], c[4])))
     return found
 
 
 def _search_units(f: Formula, atom_names: tuple[str, ...],
                   bounds: SearchBounds) -> list[tuple]:
+    program = compile_formula(f, atom_names)
     num_atoms = len(atom_names)
     n_stems_max = 1 << (num_atoms * bounds.max_stem)
     chunk = max(1, _CHUNK_TARGET_ROWS // n_stems_max)
@@ -118,7 +175,7 @@ def _search_units(f: Formula, atom_names: tuple[str, ...],
     for loop_len in range(1, bounds.max_loop + 1):
         n_loops = 1 << (num_atoms * loop_len)
         for start in range(0, n_loops, chunk):
-            units.append((f, atom_names, bounds, loop_len, start, chunk))
+            units.append((program, num_atoms, bounds, loop_len, start, chunk))
     return units
 
 
@@ -138,9 +195,12 @@ def _check_budget(num_atoms: int, bounds: SearchBounds) -> None:
     """Reject bounds whose largest search block is over the budget.
 
     The largest array is either every loop of the longest length or one
-    block of (loop chunk) x (every stem of the longest length), each
-    ``max_stem + max_unroll * max_loop + 1`` positions wide once unrolled
-    and stuttered.  Row counts are powers of two, kept as exponents.
+    block of (loop chunk) x (every stem of the longest length).  Each
+    lasso is counted at ``max_stem + max_unroll * max_loop + 1``
+    positions, its widest unrolled and stuttered form, although the
+    search holds only its ``stem + loop`` canonical positions; so the
+    accepted bounds are those of the search that built every stuttered
+    copy.  Row counts are powers of two, kept as exponents.
     """
     stem_bits = num_atoms * bounds.max_stem
     loop_bits = num_atoms * bounds.max_loop

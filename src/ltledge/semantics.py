@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import _Temporal, _label_temporal, _root_rows, _window_temporal
+from .batch import (
+    _label_temporal,
+    _root_rows,
+    _Temporal,
+    _window_temporal,
+    compile_formula,
+)
 from .formula import Formula, atoms_of
 
 State = tuple[bool, ...]
@@ -111,9 +117,9 @@ def _eval_one_row(f: Formula, t: LassoTrace, p: int,
     _check_atoms(f, t)
     q = normalize_position(t, p)
     width = len(t.atoms)
-    stems = np.array(t.stem, dtype=bool).reshape(1, t.stem_len, width)
-    loops = np.array(t.loop, dtype=bool).reshape(1, t.loop_len, width)
-    return bool(_root_rows(f, t.atoms, stems, loops, temporal)[0, q])
+    cells = np.array(t.stem + t.loop, dtype=bool).reshape(1, -1, width)
+    rows = _root_rows(compile_formula(f, t.atoms), cells, t.stem_len, temporal)
+    return bool(rows[q, -1, 0])
 
 
 def eval_formula(f: Formula, t: LassoTrace, p: int = 0) -> bool:

@@ -178,9 +178,20 @@ def _render(f: Formula, minimum: int) -> str:
     kind = type(f)
     if kind in _INFIX_OF:
         symbol, level, right_assoc = _INFIX_OF[kind]
-        # The operand on the associative side may bind at the same level.
-        text = (_render(f.left, level + right_assoc) + symbol
-                + _render(f.right, level + (not right_assoc)))
+        if right_assoc or type(f.left) is not kind:
+            # The operand on the associative side may bind at the same
+            # level.
+            text = (_render(f.left, level + right_assoc) + symbol
+                    + _render(f.right, level + (not right_assoc)))
+        else:
+            # A left-nested run of one left-associative operator is
+            # walked in a loop, so flat chains of any length render.
+            parts = []
+            while type(f) is kind:
+                parts.append(_render(f.right, level + 1))
+                f = f.left
+            parts.append(_render(f, level))
+            text = symbol.join(reversed(parts))
         return text if level >= minimum else "(" + text + ")"
     if kind in _PREFIX_OF:
         word, spaced = _PREFIX_OF[kind]

@@ -3,21 +3,46 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import gen_formula
+from conftest import all_lassos, formula_strategy, gen_formula
+from ltledge.batch import (
+    _label_temporal,
+    _root_rows,
+    compile_formula,
+    enumerate_states,
+    label_block,
+)
 from ltledge.falsifier import (
     Counterexample,
     SearchBounds,
+    _diverging,
+    _search_unit,
+    _search_units,
+    _sweep,
     cex_from_doc,
     cex_to_doc,
     falsify,
     minimize,
 )
-from ltledge.semantics import LassoTrace, eval_formula, stutter_at, unroll
-from ltledge.syntax import parse
+from ltledge.formula import atoms_of
+from ltledge.semantics import (
+    LassoTrace,
+    eval_formula,
+    normalize_position,
+    stutter_at,
+    unroll,
+)
+from ltledge.syntax import parse, render
+
+GOLDEN = Path(__file__).with_name("falsify_golden.json")
 
 
 def test_next_has_the_textbook_counterexample():
@@ -145,3 +170,155 @@ def test_random_counterexamples_are_genuine():
         stuttered = stutter_at(cex.trace, cex.stutter_index)
         assert eval_formula(f, stuttered) == cex.value_after
     assert found > 5
+
+
+def _explicit_unit(f, atom_names, bounds, loop_len, chunk_start, chunk_size):
+    """``_search_unit`` by explicit relabeling: every unrolled, stuttered
+    copy of every lasso is built and labeled from scratch."""
+    loops = enumerate_states(len(atom_names), loop_len)
+    loops = loops[chunk_start : chunk_start + chunk_size]
+    found = []
+    for stem_len in range(bounds.max_stem + 1):
+        stems = enumerate_states(len(atom_names), stem_len)
+        n_stems = stems.shape[0]
+        row_stems = np.tile(stems, (loops.shape[0], 1, 1))
+        row_loops = np.repeat(loops, n_stems, axis=0)
+        base = label_block(f, atom_names, row_stems, row_loops)
+        for k in range(bounds.max_unroll + 1):
+            unrolled = np.concatenate([row_stems] + [row_loops] * k, axis=1)
+            new = (range(stem_len) if k == 0 else
+                   range(stem_len + (k - 1) * loop_len, stem_len + k * loop_len))
+            for i in new:
+                stuttered = np.insert(unrolled, i + 1, unrolled[:, i, :],
+                                      axis=1)
+                vals = label_block(f, atom_names, stuttered, row_loops)
+                flips = np.flatnonzero(base != vals)
+                if flips.size:
+                    r = int(flips[0])
+                    found.append((chunk_start + r // n_stems, stem_len,
+                                  r % n_stems, k, i, bool(base[r]),
+                                  bool(vals[r])))
+    return found
+
+
+def test_search_units_match_explicit_relabeling():
+    rng = random.Random(23)
+    bounds = SearchBounds(max_stem=2, max_loop=2, max_unroll=2)
+    texts = ["X a", "up a U b", "G(up a -> X b | c)", "F(!a & X a & X b)"]
+    texts += [render(gen_formula(rng, 4, ("p", "q"))) for _ in range(40)]
+    hits = 0
+    for text in texts:
+        f = parse(text)
+        atom_names = atoms_of(f) or ("p",)
+        for unit in _search_units(f, atom_names, bounds):
+            _, _, _, loop_len, start, chunk = unit
+            want = _explicit_unit(f, atom_names, bounds, loop_len, start,
+                                  chunk)
+            assert _search_unit(unit) == want, (text, loop_len, start)
+            hits += bool(want)
+    assert hits > 20
+
+
+LASSOS = list(all_lassos(("p", "q"), 2, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula_strategy(), st.sampled_from(LASSOS), st.integers(0, 2),
+       st.data())
+def test_one_step_sweep_agrees_with_explicit_relabeling(f, t, k, data):
+    unrolled = unroll(t, k)
+    assume(unrolled.stem_len > 0)
+    i = data.draw(st.integers(0, unrolled.stem_len - 1), label="i")
+    program = compile_formula(f, t.atoms)
+    cells = np.array(t.stem + t.loop, dtype=bool).reshape(1, -1, 2)
+    labels = _root_rows(program, cells, t.stem_len, _label_temporal)
+    letters = cells.transpose(1, 2, 0)
+
+    def fold(j):
+        return normalize_position(t, j)
+
+    start = _diverging(program, letters, labels, fold(i))
+    flipped = _sweep(program, letters, labels, fold, i, *start).size
+    stuttered = stutter_at(unrolled, i)
+    want = label_block(
+        f, t.atoms,
+        np.array(stuttered.stem, dtype=bool).reshape(1, -1, 2),
+        np.array(stuttered.loop, dtype=bool).reshape(1, -1, 2),
+    )
+    assert (bool(labels[0, -1, 0]) != bool(flipped)) == want[0]
+
+
+GOLDEN_SEED = 17
+GOLDEN_DRAWS = 300
+GOLDEN_HAND_WRITTEN = (
+    ("X a", None),
+    ("up a", None),
+    ("up a", {"max_stem": 1}),
+    ("X a", {"max_stem": 0, "max_loop": 2, "max_unroll": 2}),
+    ("X a U b", {"max_stem": 3, "max_loop": 2}),
+    # The four search-3atom schema shapes (all closed), then more
+    # 3-atom formulas.
+    ("G(up p -> X q | r)", None),
+    ("F(up p & X q & !r)", None),
+    ("F(!p & X p & X (q | !r))", None),
+    ("(!up p | X q | r) U (up q & X !r & p)", None),
+    ("G(up p -> X q & r)", None),
+    ("(up p -> X q) U r", None),
+    ("F(X p & !q) | G r", None),
+    ("edge p & X (q U r)", {"max_stem": 2, "max_loop": 2, "max_unroll": 1}),
+)
+
+
+def _golden_corpus() -> list[tuple[str, dict | None]]:
+    """The seeded draws (distinct renderings, in draw order), then the
+    hand-written cases."""
+    rng = random.Random(GOLDEN_SEED)
+    texts: list[str] = []
+    while len(texts) < GOLDEN_DRAWS:
+        text = render(gen_formula(rng, 4, ("p", "q")))
+        if text not in texts:
+            texts.append(text)
+    return [(text, None) for text in texts] + list(GOLDEN_HAND_WRITTEN)
+
+
+def _golden_case(text: str, bounds: dict | None) -> dict:
+    search = SearchBounds(**(bounds or {}))
+    cex = falsify(parse(text), search)
+    return {
+        "formula": text,
+        "bounds": bounds,
+        "falsify": None if cex is None else cex_to_doc(cex),
+        "minimize": None if cex is None else cex_to_doc(minimize(cex, search)),
+    }
+
+
+def test_falsify_and_minimize_reproduce_the_golden_corpus():
+    # Counterexamples recorded from the search that relabeled every
+    # stuttered copy from scratch; see the description fields.
+    doc = json.loads(GOLDEN.read_text())
+    corpus = _golden_corpus()
+    assert [(c["formula"], c["bounds"]) for c in doc["cases"]] == corpus
+    for case in doc["cases"]:
+        assert _golden_case(case["formula"], case["bounds"]) == case
+
+
+if __name__ == "__main__":
+    # python tests/test_falsifier.py rewrites the golden file from the
+    # current search.  The committed file was recorded with the search
+    # that "recorded_with" names, before the one-step stutter check.
+    cases = [_golden_case(text, bounds) for text, bounds in _golden_corpus()]
+    GOLDEN.write_text(json.dumps({
+        "recorded_with": "falsifier that relabeled every unrolled, "
+                         "stuttered copy of each lasso from scratch "
+                         "(np.insert + label_block per stutter position)",
+        "seed": GOLDEN_SEED,
+        "formulas_from": f"render(conftest.gen_formula(random.Random(seed), "
+                         f"4, ('p', 'q'))), the first {GOLDEN_DRAWS} "
+                         f"distinct renderings in draw order; then the "
+                         f"hand-written cases of GOLDEN_HAND_WRITTEN",
+        "case": "'bounds' are SearchBounds keyword arguments (null: the "
+                "defaults); 'falsify' is cex_to_doc of falsify(formula, "
+                "bounds) or null; 'minimize' is cex_to_doc of "
+                "minimize(that counterexample, bounds) or null",
+        "cases": cases,
+    }, indent=1) + "\n")

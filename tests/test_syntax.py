@@ -168,6 +168,15 @@ def test_nesting_limit(make):
         parse(make(MAX_NESTING + 1))
 
 
+@pytest.mark.parametrize("symbol", ["&", "|"])
+@pytest.mark.parametrize("operands", [1000, 5000])
+def test_flat_chains_round_trip(symbol, operands):
+    text = f" {symbol} ".join(f"a{i}" for i in range(operands))
+    assert render(parse(text)) == text
+    grouped = f"b {symbol} ({text}) {symbol} c"
+    assert render(parse(grouped)) == grouped
+
+
 def test_long_conjunctions_are_not_nesting():
     text = "G(" + " & ".join(f"a{i}" for i in range(300)) + ")"
     f = parse(text)
