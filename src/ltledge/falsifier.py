@@ -30,8 +30,9 @@ before it is returned.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -245,9 +246,9 @@ def falsify(f: Formula, bounds: SearchBounds | None = None,
             jobs: int = 1) -> Counterexample | None:
     """First stuttering counterexample within bounds, or None.
 
-    With ``jobs > 1`` the search blocks run in worker processes; the
-    result is identical to the sequential one because blocks are
-    consumed in enumeration order.
+    With ``jobs > 1`` the search blocks run in worker processes, at
+    most one per block and per CPU; the result is identical to the
+    sequential one because blocks are consumed in enumeration order.
     """
     if bounds is None:
         bounds = SearchBounds()
@@ -261,12 +262,17 @@ def falsify(f: Formula, bounds: SearchBounds | None = None,
 
 
 def _run_units(units: list[tuple], jobs: int):
-    """Yield (loop_len, candidates) per unit, in enumeration order."""
-    if jobs <= 1:
+    """Yield (loop_len, candidates) per unit, in enumeration order.
+
+    The pool starts every worker at once, so it gets no more workers
+    than there are units or CPUs.
+    """
+    workers = min(jobs, len(units), os.cpu_count() or 1)
+    if workers <= 1:
         for unit in units:
             yield unit[3], _search_unit(unit)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for unit, found in zip(units, pool.map(_search_unit, units)):
             yield unit[3], found
 
@@ -284,25 +290,45 @@ def minimize(cex: Counterexample,
     stutter position; the given counterexample itself is kept as the
     fallback, so the result is never worse.  Raises ValueError if the
     input does not actually witness a flip.
+
+    A candidate with stem ``s``, loop ``l`` and unroll depth ``k`` has
+    an unrolled stem of ``s + k * l``; it can tie or beat the input only
+    if that is at most the input's stem length ``n``.  So only stems up
+    to ``n`` and depths up to ``n // l`` are searched: the cost grows
+    with the input's size, not with the bounds.  The bounds are still
+    checked whole, before the search is narrowed.
     """
     if bounds is None:
         bounds = SearchBounds()
     f = cex.formula
+    if not 0 <= cex.stutter_index < cex.trace.stem_len:
+        raise ValueError("not a valid counterexample for its formula: "
+                         f"stutter position {cex.stutter_index} outside "
+                         f"stem of length {cex.trace.stem_len}")
     before = eval_formula(f, cex.trace)
     after = eval_formula(f, stutter_at(cex.trace, cex.stutter_index))
     if (before != cex.value_before or after != cex.value_after
             or before == after):
         raise ValueError("not a valid counterexample for its formula")
     atom_names = _atoms_for(f, bounds)
+    size = cex.trace.stem_len
+    within = replace(bounds, max_stem=min(bounds.max_stem, size))
+    units = [
+        (program, num_atoms,
+         replace(within, max_unroll=min(within.max_unroll, size // loop_len)),
+         loop_len, start, chunk)
+        for program, num_atoms, _, loop_len, start, chunk
+        in _search_units(f, atom_names, within)
+    ]
     best: tuple | None = None  # ((size key, visit order), loop_len, candidate)
-    for loop_len, found in _run_units(_search_units(f, atom_names, bounds), 1):
+    for loop_len, found in _run_units(units, 1):
         for candidate in found:
             loop_idx, stem_len, stem_idx, k, i, _, _ = candidate
             visit = (loop_len, loop_idx, stem_len, stem_idx, k, i)
             ranked = (_candidate_key(loop_len, candidate), visit)
             if best is None or ranked < best[0]:
                 best = (ranked, loop_len, candidate)
-    own_key = (cex.trace.stem_len, cex.trace.loop_len, cex.stutter_index)
+    own_key = (size, cex.trace.loop_len, cex.stutter_index)
     if best is None or own_key < best[0][0]:
         return cex
     return _reconstruct(f, atom_names, best[1], best[2])
@@ -319,12 +345,21 @@ def cex_to_doc(cex: Counterexample) -> dict:
 
 
 def cex_from_doc(doc: dict) -> Counterexample:
+    """Inverse of :func:`cex_to_doc`; the values accept 0/1 as well as
+    booleans, the stutter index only an integer."""
     try:
         formula = parse(doc["formula"])
         trace = trace_from_doc(doc["trace"])
-        index = int(doc["stutter_index"])
-        before = bool(doc["value_before"])
-        after = bool(doc["value_after"])
+        index = doc["stutter_index"]
+        before = doc["value_before"]
+        after = doc["value_after"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed counterexample document: {exc}") from None
-    return Counterexample(formula, trace, index, before, after)
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise ValueError("malformed counterexample document: stutter_index "
+                         f"must be an integer, not {index!r}")
+    for name, value in (("value_before", before), ("value_after", after)):
+        if not isinstance(value, (bool, int)) or value not in (0, 1):
+            raise ValueError(f"malformed counterexample document: {name} "
+                             f"must be a boolean, not {value!r}")
+    return Counterexample(formula, trace, index, bool(before), bool(after))

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_lassos, formula_strategy, gen_formula
+from ltledge import falsifier
 from ltledge.batch import (
     _label_temporal,
     _root_rows,
@@ -23,7 +24,9 @@ from ltledge.batch import (
 from ltledge.falsifier import (
     Counterexample,
     SearchBounds,
+    _candidate_key,
     _diverging,
+    _reconstruct,
     _search_unit,
     _search_units,
     _sweep,
@@ -107,6 +110,65 @@ def test_minimize_rejects_a_forged_counterexample():
         minimize(forged)
 
 
+@pytest.mark.parametrize("index", [5, -1])
+def test_minimize_rejects_a_stutter_index_outside_the_stem(index):
+    doc = cex_to_doc(falsify(parse("X a")))
+    doc["stutter_index"] = index
+    with pytest.raises(ValueError, match="not a valid counterexample"):
+        minimize(cex_from_doc(doc))
+
+
+def test_minimize_searches_only_stems_that_can_beat_its_input(monkeypatch):
+    cex = falsify(parse("X a"))
+    assert len(cex.trace.stem) == 1
+    lengths = []
+
+    def recording(num_atoms, length):
+        lengths.append(length)
+        return enumerate_states(num_atoms, length)
+
+    monkeypatch.setattr(falsifier, "enumerate_states", recording)
+    small = minimize(cex)
+    # Each loop length's block enumerates its loops, then stems of
+    # length 0 and 1 only (the default bounds allow 4); the last two
+    # calls rebuild the winning lasso.
+    assert lengths == [1, 0, 1, 2, 0, 1, 3, 0, 1, 1, 1]
+    assert (small.trace.stem_len, small.trace.loop_len,
+            small.stutter_index) == (1, 1, 0)
+
+
+def test_process_pool_is_capped_by_units_and_cpus(monkeypatch):
+    made = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(falsifier, "ProcessPoolExecutor", InProcessPool)
+    f = parse("X a")
+    want = falsify(f)
+    assert len(_search_units(f, ("a",), SearchBounds())) == 3
+    for cpus, jobs, workers in ((4, 100000, 3), (2, 100000, 2), (64, 2, 2)):
+        monkeypatch.setattr(falsifier.os, "cpu_count", lambda: cpus)
+        made.clear()
+        assert falsify(f, jobs=jobs) == want
+        assert made == [workers]
+    for cpus, jobs in ((None, 100000), (1, 100000), (8, 1)):
+        monkeypatch.setattr(falsifier.os, "cpu_count", lambda: cpus)
+        made.clear()
+        assert falsify(f, jobs=jobs) == want
+        assert made == []  # one worker: no pool
+
+
 def test_bounds_validation():
     with pytest.raises(ValueError):
         SearchBounds(max_loop=0)
@@ -144,6 +206,36 @@ def test_search_size_is_checked_before_allocating(monkeypatch):
 def test_counterexample_document_round_trip():
     cex = falsify(parse("X a U b"))
     assert cex_from_doc(cex_to_doc(cex)) == cex
+    doc = cex_to_doc(cex)
+    doc.update(value_before=int(cex.value_before),
+               value_after=int(cex.value_after))
+    assert cex_from_doc(doc) == cex
+
+
+@pytest.mark.parametrize("field,value", [
+    ("value_before", "false"),
+    ("value_after", "true"),
+    ("value_before", 2),
+    ("value_after", None),
+    ("value_before", 0.0),
+    ("stutter_index", "0"),
+    ("stutter_index", 0.5),
+    ("stutter_index", True),
+    ("stutter_index", None),
+])
+def test_counterexample_document_field_types_are_checked(field, value):
+    doc = cex_to_doc(falsify(parse("X a")))
+    doc[field] = value
+    with pytest.raises(ValueError,
+                       match=f"^malformed counterexample document: {field} "):
+        cex_from_doc(doc)
+
+
+def test_counterexample_document_missing_field():
+    doc = cex_to_doc(falsify(parse("X a")))
+    del doc["value_after"]
+    with pytest.raises(ValueError, match="malformed counterexample document"):
+        cex_from_doc(doc)
 
 
 def test_unrolled_stutter_positions_are_reachable():
@@ -217,6 +309,49 @@ def test_search_units_match_explicit_relabeling():
             assert _search_unit(unit) == want, (text, loop_len, start)
             hits += bool(want)
     assert hits > 20
+
+
+@pytest.mark.parametrize("stems", [3, 0])
+def test_minimize_agrees_with_the_search_of_the_whole_bounds(stems):
+    # Inputs: every flipping stutter of every lasso of stem <= 2,
+    # loop <= 2, unrolled up to twice.  Expected: the smallest candidate
+    # of the whole bounded search if it is no larger than the input,
+    # else the input; an input of the same size loses, as the later one
+    # in visit order.
+    rng = random.Random(29)
+    bounds = SearchBounds(max_stem=stems, max_loop=2, max_unroll=2)
+    texts = ["X a", "up a", "X X a", "X a U b", "edge a & X b"]
+    texts += [render(gen_formula(rng, 4, ("p", "q"))) for _ in range(6)]
+    inputs = ties = 0
+    for text in texts:
+        f = parse(text)
+        atom_names = atoms_of(f) or ("p",)
+        ranked = []
+        for unit in _search_units(f, atom_names, bounds):
+            loop_len = unit[3]
+            for c in _search_unit(unit):
+                visit = (loop_len, c[0], c[1], c[2], c[3], c[4])
+                ranked.append(((_candidate_key(loop_len, c), visit),
+                               loop_len, c))
+        if not ranked:
+            continue
+        (key, _), loop_len, c = min(ranked)
+        want = _reconstruct(f, atom_names, loop_len, c)
+        for t in all_lassos(atom_names, 2, 2):
+            for k in range(bounds.max_unroll + 1):
+                trace = unroll(t, k)
+                before = eval_formula(f, trace)
+                for i in range(trace.stem_len):
+                    after = eval_formula(f, stutter_at(trace, i))
+                    if before == after:
+                        continue
+                    cex = Counterexample(f, trace, i, before, after)
+                    own = (trace.stem_len, trace.loop_len, i)
+                    expected = cex if own < key else want
+                    assert minimize(cex, bounds) == expected, (text, cex)
+                    inputs += 1
+                    ties += own == key and cex != want
+    assert inputs > 500 and ties > 5
 
 
 LASSOS = list(all_lassos(("p", "q"), 2, 2))
