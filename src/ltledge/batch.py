@@ -22,6 +22,9 @@ resolve ``G``/``F``/``U`` independently:
   ``stem + 2*loop``, with no fixpoint reasoning;
 * the label route (:func:`label_block`, ``eval_oracle``) resolves the
   loop by a backward fixpoint before propagating back through the stem.
+  Its ``U`` composes the one-step maps ``x -> B | (A & x)`` of the
+  positions in log depth, so neither route loops over positions in
+  Python (see :func:`_label_temporal`).
 
 Keeping the two resolvers separate is what makes the eval/eval_oracle
 cross-check, and the falsifier's re-check of its candidates, meaningful.
@@ -211,22 +214,41 @@ def _label_temporal(kind: type, left: np.ndarray, right: np.ndarray,
     """``G``/``F``/``U`` rows by backward fixpoint labeling.
 
     Same arguments as :func:`_window_temporal`.  The successor of the
-    last position wraps to the loop start.  The loop is resolved first,
-    then values propagate back through the stem.  ``F``/``G`` are
-    constant across a loop, and their stem values are a backward
-    or/and-scan.  ``U`` runs its one-step recurrence (:data:`_RECURRENCE`)
-    backwards from the right child's rows: two passes around the loop
-    reach the fixpoint (a shortest witness path around the loop crosses
-    the wrap edge at most once), then one pass covers the stem.
+    last position wraps to the loop start.  ``F``/``G`` are constant
+    across a loop, which is resolved first, and their stem values are a
+    backward or/and-scan from the loop's value.
+
+    ``U`` solves its one-step recurrence (:data:`_RECURRENCE`) with no
+    loop over positions.  Position ``p`` maps the value ``x`` at its
+    successor to ``B[p] | (A[p] & x)``; such a map is kept as the pair
+    ``(A, B)``, and running ``(a2, b2)`` then ``(a1, b1)`` is again such
+    a map, ``(a1 & a2, b1 | (a1 & b2))``.  The maps are laid out along
+    the stem, the loop and the loop again but its last position, so
+    that every stretch that starts in the loop and spans a whole turn is
+    one slice.  Composing pairs whose spans double, in log depth as in a
+    prefix scan, gives each position the map of the ``n`` positions from
+    it (fewer near the end of the layout).  Its B part says "a witness
+    of ``B`` within ``n`` steps, with ``A`` before it": the ``n``-th
+    iterate from false, so it grows towards the least fixpoint, strong
+    until's value.  The span doubles until it covers the whole loop from
+    every loop position and reaches the loop entry and a whole turn
+    beyond it from every stem position.  The B part has then reached
+    the fixpoint: a shortest witness lies less than one turn past the
+    loop entry (or past the position itself, in the loop), since a
+    witness later than that recurs one turn earlier.
     """
     if kind is Until:
-        rule = _RECURRENCE[Until]
-        out[...] = right
-        last = out.shape[0] - 1
-        loop_pass = range(last, stem_len - 1, -1)
-        for p in [*loop_pass, *loop_pass, *range(stem_len - 1, -1, -1)]:
-            out[p] = rule(left[p], right[p],
-                          out[p + 1 if p < last else stem_len])
+        # Position p holds the map of p ..< p + span, clipped to the layout.
+        a = np.concatenate([left, left[stem_len:-1]])
+        b = np.concatenate([right, right[stem_len:-1]])
+        width, span = out.shape[0], 1
+        while True:
+            b[:-span] |= a[:-span] & b[span:]
+            if 2 * span >= width:
+                break
+            a[:-span] &= a[span:]
+            span *= 2
+        out[...] = b[:width]
         return
     scan = np.logical_or if kind is Eventually else np.logical_and
     # From inside the loop every loop position is in the future.

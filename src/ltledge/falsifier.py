@@ -56,10 +56,11 @@ from .semantics import (
 from .syntax import parse, render
 
 _CHUNK_TARGET_ROWS = 1 << 17
-# Lasso positions (rows x columns) that the largest array of one search
-# block may hold, as a power of two.  The defaults need 2**17 rows x 11
-# columns at 3 atoms.
-_SEARCH_BUDGET_BITS = 23
+# Bytes that the largest array of one search may hold: a block's labels
+# (positions x program nodes x lassos), or the table of every loop or
+# every stem of the longest length.  The defaults need 7 x 2**17 bytes
+# per program node at 3 atoms.
+_SEARCH_BUDGET_BITS = 27
 
 
 @dataclass(frozen=True)
@@ -170,8 +171,7 @@ def _search_units(f: Formula, atom_names: tuple[str, ...],
                   bounds: SearchBounds) -> list[tuple]:
     program = compile_formula(f, atom_names)
     num_atoms = len(atom_names)
-    n_stems_max = 1 << (num_atoms * bounds.max_stem)
-    chunk = max(1, _CHUNK_TARGET_ROWS // n_stems_max)
+    chunk = _loop_chunk(len(program), num_atoms, bounds)
     units = []
     for loop_len in range(1, bounds.max_loop + 1):
         n_loops = 1 << (num_atoms * loop_len)
@@ -188,38 +188,43 @@ def _atoms_for(f: Formula, bounds: SearchBounds) -> tuple[str, ...]:
             f"{bounds.atom_cap}; a larger cap needs "
             f"SearchBounds(atom_cap=...) in the Python API"
         )
-    _check_budget(len(names), bounds)
     return names
 
 
-def _check_budget(num_atoms: int, bounds: SearchBounds) -> None:
-    """Reject bounds whose largest search block is over the budget.
+def _loop_chunk(nodes: int, num_atoms: int, bounds: SearchBounds) -> int:
+    """Loops per search block, for a program of ``nodes`` nodes.
 
-    The largest array is either every loop of the longest length or one
-    block of (loop chunk) x (every stem of the longest length).  Each
-    lasso is counted at ``max_stem + max_unroll * max_loop + 1``
-    positions, its widest unrolled and stuttered form, although the
-    search holds only its ``stem + loop`` canonical positions; so the
-    accepted bounds are those of the search that built every stuttered
-    copy.  Row counts are powers of two, kept as exponents.
+    A block labels (loop chunk) x (every stem of one length) lassos at
+    their ``stem + loop`` canonical positions, one byte per program node
+    each; the unroll depth costs no memory.  The chunk aims at
+    ``_CHUNK_TARGET_ROWS`` lassos per block and shrinks only for a
+    program whose block would go over the budget.  Raises ValueError,
+    before anything is allocated, when the block of a single loop or
+    the table of every loop or every stem of the longest length cannot
+    fit.  Lasso counts are powers of two, kept as exponents.
     """
     stem_bits = num_atoms * bounds.max_stem
-    loop_bits = num_atoms * bounds.max_loop
-    chunk_bits = _CHUNK_TARGET_ROWS.bit_length() - 1
-    row_bits = max(loop_bits,
-                   min(loop_bits, max(0, chunk_bits - stem_bits)) + stem_bits)
-    columns = bounds.max_stem + bounds.max_unroll * bounds.max_loop + 1
-    if (row_bits <= _SEARCH_BUDGET_BITS
-            and columns << row_bits <= 1 << _SEARCH_BUDGET_BITS):
-        return
-    if row_bits <= chunk_bits:
-        name = "max_unroll"
-    else:
-        name = "max_loop" if row_bits == loop_bits else "max_stem"
-    raise ValueError(
-        f"SearchBounds({name}={getattr(bounds, name)}) needs search blocks "
-        f"of 2**{row_bits} lassos x {columns} positions ({num_atoms} "
-        f"atoms), over the budget of 2**{_SEARCH_BUDGET_BITS} lasso positions"
+    width = bounds.max_stem + bounds.max_loop
+    per_loop = (width * nodes) << stem_bits
+    budget = 1 << _SEARCH_BUDGET_BITS
+    for name, length in (("max_loop", bounds.max_loop),
+                         ("max_stem", bounds.max_stem)):
+        if (length * num_atoms) << (num_atoms * length) > budget:
+            raise _over_budget(
+                bounds, name, f"all 2**{num_atoms * length} {name[4:]}s of "
+                f"{length} states over {num_atoms} atoms at once")
+    if per_loop > budget:
+        raise _over_budget(
+            bounds, "max_stem", f"search blocks of at least 2**{stem_bits} "
+            f"lassos x {width} positions x {nodes} formula nodes "
+            f"({num_atoms} atoms)")
+    return min(max(1, _CHUNK_TARGET_ROWS >> stem_bits), budget // per_loop)
+
+
+def _over_budget(bounds: SearchBounds, name: str, needs: str) -> ValueError:
+    return ValueError(
+        f"SearchBounds({name}={getattr(bounds, name)}) needs {needs}, over "
+        f"the budget of 2**{_SEARCH_BUDGET_BITS} bytes"
     )
 
 
@@ -311,6 +316,7 @@ def minimize(cex: Counterexample,
             or before == after):
         raise ValueError("not a valid counterexample for its formula")
     atom_names = _atoms_for(f, bounds)
+    _loop_chunk(len(compile_formula(f, atom_names)), len(atom_names), bounds)
     size = cex.trace.stem_len
     within = replace(bounds, max_stem=min(bounds.max_stem, size))
     units = [

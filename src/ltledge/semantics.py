@@ -9,7 +9,9 @@ so quantifiers over the infinite future only need a bounded window.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence, Sized
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,12 +31,11 @@ class UnknownAtomError(LookupError):
     """A formula mentions an atom the trace does not carry."""
 
 
-def _check_states(label: str, states: tuple[State, ...], width: int) -> None:
-    for i, state in enumerate(states):
-        if len(state) != width:
-            raise ValueError(
-                f"{label} state {i} has {len(state)} values, expected {width}"
-            )
+def _check_states(label: str, states: Sequence[Sized], width: int) -> None:
+    if set(map(len, states)) <= {width}:
+        return
+    i, state = next((i, s) for i, s in enumerate(states) if len(s) != width)
+    raise ValueError(f"{label} state {i} has {len(state)} values, expected {width}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,16 @@ class LassoTrace:
         if p < len(self.stem):
             return self.stem[p]
         return self.loop[(p - len(self.stem)) % len(self.loop)]
+
+    @cached_property
+    def _cells(self) -> np.ndarray:
+        """The states ``stem + loop`` as one read-only boolean array of
+        shape (positions, atoms), built once and shared by both
+        evaluation routes."""
+        cells = np.array(self.stem + self.loop, dtype=bool).reshape(
+            self.stem_len + self.loop_len, len(self.atoms))
+        cells.flags.writeable = False
+        return cells
 
 
 def normalize_position(t: LassoTrace, p: int) -> int:
@@ -116,9 +127,8 @@ def _eval_one_row(f: Formula, t: LassoTrace, p: int,
                   temporal: _Temporal) -> bool:
     _check_atoms(f, t)
     q = normalize_position(t, p)
-    width = len(t.atoms)
-    cells = np.array(t.stem + t.loop, dtype=bool).reshape(1, -1, width)
-    rows = _root_rows(compile_formula(f, t.atoms), cells, t.stem_len, temporal)
+    rows = _root_rows(compile_formula(f, t.atoms), t._cells[None], t.stem_len,
+                      temporal)
     return bool(rows[q, -1, 0])
 
 
@@ -151,8 +161,34 @@ def trace_to_doc(t: LassoTrace) -> dict:
     }
 
 
+def _doc_cells(rows, label: str, width: int) -> np.ndarray:
+    """The ``stem`` or ``loop`` field of a trace document as a boolean
+    array of shape (states, width).
+
+    Checked in bulk: one conversion to an array, whose dtype and values
+    show whether every value is a boolean or 0/1.  Only a rejected field
+    is scanned value by value, to name the first bad value.
+    """
+    if not isinstance(rows, list) or set(map(type, rows)) - {list}:
+        raise ValueError(f"'{label}' must be a list of lists of booleans or 0/1")
+    _check_states(label, rows, width)
+    if not rows or not width:
+        return np.zeros((len(rows), width), dtype=bool)
+    try:
+        values = np.array(rows)
+    except ValueError:  # a value is a list of another length
+        values = None
+    if (values is not None and values.ndim == 2 and values.dtype.kind in "bi"
+            and ((values == 0) | (values == 1)).all()):
+        return values.astype(bool)
+    bad = next(v for row in rows for v in row
+               if not isinstance(v, (bool, int)) or v not in (0, 1))
+    raise ValueError(f"'{label}' values must be booleans or 0/1, not {bad!r}")
+
+
 def trace_from_doc(doc: dict) -> LassoTrace:
-    """Inverse of :func:`trace_to_doc`; accepts 0/1 as well as booleans."""
+    """Inverse of :func:`trace_to_doc`; each state value is a boolean or
+    0/1, anything else is a ValueError naming the field."""
     try:
         atoms = doc["atoms"]
         stem = doc["stem"]
@@ -161,20 +197,13 @@ def trace_from_doc(doc: dict) -> LassoTrace:
         raise ValueError(f"trace document is missing field {exc}") from None
     if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
         raise ValueError("'atoms' must be a list of identifiers")
-
-    def states(rows, label: str) -> tuple[State, ...]:
-        if not isinstance(rows, list):
-            raise ValueError(f"'{label}' must be a list of boolean lists")
-        out = []
-        for row in rows:
-            if not isinstance(row, list) or not all(
-                isinstance(v, (bool, int)) for v in row
-            ):
-                raise ValueError(f"'{label}' must be a list of boolean lists")
-            out.append(tuple(bool(v) for v in row))
-        return tuple(out)
-
-    return LassoTrace(tuple(atoms), states(stem, "stem"), states(loop, "loop"))
+    cells = np.concatenate([_doc_cells(stem, "stem", len(atoms)),
+                            _doc_cells(loop, "loop", len(atoms))])
+    states = tuple(map(tuple, cells.tolist()))
+    trace = LassoTrace(tuple(atoms), states[:len(stem)], states[len(stem):])
+    cells.flags.writeable = False
+    vars(trace)["_cells"] = cells  # the cached property, already built
+    return trace
 
 
 def load_trace(text: str) -> LassoTrace:

@@ -112,6 +112,17 @@ def test_rewrite_wrapper_keeps_the_original_conclusion():
     assert verdict.proof.conclusion == f
 
 
+def test_check_proof_skips_the_fallback_when_normalize_matches(monkeypatch):
+    # The premise of the LOGIC-REWRITE node of G(p & q) is its normalize
+    # form, so checking it never needs the NNF/DNF fallback rewrite.
+    def refuse(f):
+        raise AssertionError("_fallback_rewrite called")
+
+    verdict = analyze(parse("G(p & q)"))
+    monkeypatch.setattr("ltledge.analyzer._fallback_rewrite", refuse)
+    assert check_proof(verdict.proof)
+
+
 def test_next_free_formula_under_always():
     # no rewriting needed: the body is next-free, so composition suffices
     assert root_rule("G((q & F r) -> (!p U (s | r)))") is Rule.ALWAYS

@@ -188,6 +188,18 @@ def test_errors_exit_with_two(run, tmp_path):
         assert err.startswith("error:"), argv
 
 
+@pytest.mark.parametrize("value,shown", [
+    ("2", "2"), ("-1", "-1"), ("1.0", "1.0"), ('"1"', "'1'"), ("null", "None"),
+])
+def test_trace_values_other_than_booleans_or_0_1_are_usage_errors(
+        run, tmp_path, value, shown):
+    path = tmp_path / "trace.json"
+    path.write_text(f'{{"atoms": ["a"], "stem": [[{value}]], "loop": [[0]]}}')
+    code, out, err = run("eval", "a", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: 'stem' values must be booleans or 0/1, not {shown}\n"
+
+
 def test_too_deep_nesting_is_a_usage_error(run):
     code, out, err = run("analyze", "!" * 2000 + "a")
     assert (code, out) == (2, "")

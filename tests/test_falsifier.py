@@ -193,14 +193,30 @@ def test_search_size_is_checked_before_allocating(monkeypatch):
     cex = falsify(parse("X a"))
     monkeypatch.setattr("ltledge.falsifier.enumerate_states", refuse)
     too_long = SearchBounds(max_stem=12)
-    with pytest.raises(ValueError, match=r"max_stem=12\).*budget of 2\*\*23"):
+    with pytest.raises(ValueError, match=r"max_stem=12\).*budget of 2\*\*27"):
         falsify(parse("a & b & c"), too_long)
     with pytest.raises(ValueError, match="max_loop=9"):
         falsify(parse("a & b & c"), SearchBounds(max_loop=9))
-    with pytest.raises(ValueError, match="max_unroll=50"):
-        falsify(parse("a & b & c"), SearchBounds(max_unroll=50))
     with pytest.raises(ValueError, match="max_stem=30"):
         minimize(cex, SearchBounds(max_stem=30))
+    # A block holds every program node at each position of each lasso.
+    # A 900-operand conjunction (902 nodes) gets 5 loops per block instead
+    # of 32, 25.8 MB each where 32 loops would take 165 MB; a program for
+    # which the block of one loop cannot fit is refused.
+    atoms = ("a", "b", "c")
+    wide = parse(" & ".join(atoms * 300))
+    program, _, _, _, _, chunk = _search_units(wide, atoms, SearchBounds())[0]
+    block = 7 * len(program) << 12
+    assert (len(program), chunk) == (902, 5)
+    assert chunk * block <= 1 << 27 < 32 * block
+    with pytest.raises(ValueError, match=r"max_stem=6\).*x 9 positions x 62 "):
+        falsify(parse(" & ".join(atoms * 20)), SearchBounds(max_stem=6))
+    # The unroll depth allocates nothing: these blocks are the defaults'.
+    deep = SearchBounds(max_unroll=50)
+    assert ([unit[5] for unit in _search_units(parse("a & b & c"), atoms, deep)]
+            == [32] * 19)
+    monkeypatch.undo()
+    assert falsify(parse("a & b & c"), deep) is None
 
 
 def test_counterexample_document_round_trip():

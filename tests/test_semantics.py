@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import all_lassos, gen_formula
+from ltledge.batch import label_block, window_block
 from ltledge.formula import desugar_edges, rewrite_logic
 from ltledge.semantics import (
     LassoTrace,
@@ -25,7 +26,7 @@ from ltledge.semantics import (
     trace_to_doc,
     unroll,
 )
-from ltledge.syntax import parse
+from ltledge.syntax import parse, render
 
 GOLDEN = Path(__file__).with_name("eval_golden.json")
 A_TRUE_THEN_FALSE = LassoTrace(("a",), ((True,),), ((False,),))
@@ -166,6 +167,44 @@ def test_trace_documents_round_trip():
     assert load_trace(dump_trace(t)) == t
 
 
+@pytest.mark.parametrize("field", ["stem", "loop"])
+@pytest.mark.parametrize("value", [2, -1, 1.0, "1", None, [1]])
+def test_trace_values_must_be_booleans_or_0_1(field, value):
+    doc = {"atoms": ["a", "b"], "stem": [[0, 1], [True, False]],
+           "loop": [[1, 0]]}
+    doc[field][0][1] = value
+    with pytest.raises(ValueError, match=f"^'{field}' values must be "
+                                         "booleans or 0/1, not "):
+        trace_from_doc(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"atoms": ["a"], "stem": [[1]], "loop": [1]},
+    {"atoms": ["a"], "stem": "10", "loop": [[1]]},
+    {"atoms": ["a"], "stem": [[1, 0]], "loop": [[1]]},
+    {"atoms": ["a"], "stem": [], "loop": []},
+    {"atoms": ["a", "a"], "stem": [], "loop": [[1, 1]]},
+])
+def test_malformed_trace_documents_are_value_errors(doc):
+    with pytest.raises(ValueError):
+        trace_from_doc(doc)
+
+
+def test_loaded_trace_shares_one_read_only_cell_array():
+    doc = {"atoms": ["a", "b"], "stem": [[0, 1], [True, False]],
+           "loop": [[1, 1]]}
+    t = trace_from_doc(doc)
+    assert t == LassoTrace(("a", "b"), ((False, True), (True, False)),
+                           ((True, True),))
+    assert {type(v) for state in t.stem + t.loop for v in state} == {bool}
+    built = LassoTrace(t.atoms, t.stem, t.loop)
+    for trace in (t, built):
+        assert trace._cells is trace._cells
+        assert not trace._cells.flags.writeable
+        assert trace._cells.tolist() == [list(s) for s in t.stem + t.loop]
+    assert trace_from_doc({"atoms": [], "stem": [], "loop": [[]]}).loop == ((),)
+
+
 def test_oracle_agrees_on_the_pinned_examples():
     f = parse("X a")
     assert eval_oracle(f, A_TRUE_THEN_FALSE) is False
@@ -242,3 +281,74 @@ def test_next_free_formulas_ignore_stuttering():
         base = eval_formula(f, t)
         for i in range(len(t.stem)):
             assert eval_formula(f, stutter_at(t, i)) == base
+
+
+# Long 3-atom lassos: the label route's ``U`` composes its per-position
+# maps in log depth, so these reach spans that the 2-state golden corpus
+# cannot.  A column is random with a random density, never true or
+# always true.  In a wrap trace, ``a`` runs across the loop wrap to the
+# only ``b``, a quarter of the way round the loop, and is broken halfway
+# round and at the last stem position, so from the stem's start ``a``
+# holds for the whole stem but one state and still ``a U b`` fails.
+LONG_FORMULAS = [
+    "a U b", "G(a U b)", "F(a U b)", "!(a U b)", "G F(a U b)",
+    "(a U b) U c", "a U (b U c)", "G(a -> (b U c))", "F G(!(a U X b))",
+    "(up a U b) | G(c U down a)", "true U b", "a U false", "false U c",
+    "a U true", "G(true U c)", "F(a U false)", "!(c U (a U (b U !c)))",
+]
+LONG_SHAPES = [(0, 1), (0, 400), (1, 1), (3000, 1), (3000, 400), (1500, 257),
+               (777, 2), (2, 399), (64, 64), (2999, 3)]
+
+
+def _long_columns(rng: random.Random, stem_len: int, loop_len: int,
+                  wrap: bool) -> np.ndarray:
+    n = stem_len + loop_len
+    nprng = np.random.default_rng(rng.randrange(1 << 30))
+    cols = [nprng.random(n) < rng.uniform(0.02, 0.98) for _ in range(3)]
+    if wrap:
+        cols[0] = np.ones(n, dtype=bool)
+        cols[0][[max(0, stem_len - 1), stem_len + loop_len // 2]] = False
+        cols[1] = np.zeros(n, dtype=bool)
+        cols[1][stem_len + loop_len // 4] = True
+    for j in range(3):
+        mode = rng.choice(["kept"] * 3 + ["never", "always"])
+        if mode != "kept" and not (wrap and j < 2):
+            cols[j] = np.full(n, mode == "always")
+    return np.stack(cols, axis=1)
+
+
+def _long_trace(rng: random.Random, stem_len: int, loop_len: int,
+                wrap: bool) -> LassoTrace:
+    cells = _long_columns(rng, stem_len, loop_len, wrap)
+    states = tuple(map(tuple, cells.tolist()))
+    return LassoTrace(("a", "b", "c"), states[:stem_len], states[stem_len:])
+
+
+def test_eval_routes_agree_on_long_traces():
+    rng = random.Random(31)
+    formulas = [parse(text) for text in LONG_FORMULAS]
+    formulas += [gen_formula(rng, 4, ("a", "b", "c")) for _ in range(8)]
+    for stem_len, loop_len in LONG_SHAPES:
+        for wrap in (False, False, True):
+            t = _long_trace(rng, stem_len, loop_len, wrap)
+            n = stem_len + loop_len
+            positions = {0, stem_len // 2, stem_len, n - 1, n + 3 * loop_len + 1}
+            for f in formulas:
+                for p in sorted(positions):
+                    assert eval_formula(f, t, p) == eval_oracle(f, t, p), (
+                        render(f), stem_len, loop_len, p)
+
+
+def test_batch_routes_agree_on_long_traces():
+    rng = random.Random(37)
+    formulas = [parse(text) for text in LONG_FORMULAS]
+    for stem_len, loop_len in LONG_SHAPES:
+        rows = [_long_columns(rng, stem_len, loop_len, wrap)
+                for wrap in (False, True) * 3]
+        stems = np.stack([r[:stem_len] for r in rows])
+        loops = np.stack([r[stem_len:] for r in rows])
+        for f in formulas:
+            window = window_block(f, ("a", "b", "c"), stems, loops)
+            label = label_block(f, ("a", "b", "c"), stems, loops)
+            assert np.array_equal(window, label), (render(f), stem_len,
+                                                   loop_len)
