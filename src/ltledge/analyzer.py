@@ -25,6 +25,7 @@ generators, so they cannot disagree on what a rule accepts.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -50,11 +51,12 @@ from .formula import (
     build_or,
     children_of,
     expand_any_edges,
-    flatten_and,
-    flatten_or,
+    map_spine,
     normalize_edge_negations,
+    postorder,
     resugar_edges,
     rewrite_logic,
+    spine,
 )
 from .syntax import parse, render
 
@@ -97,14 +99,28 @@ class Unknown:
 Verdict = Closed | Unknown
 
 _FALLBACK_TERM_CAP = 64
+# Deepest proof render_proof writes as JSON: json nests through the
+# interpreter's recursion (default limit 1000), two levels per proof level.
+MAX_PROOF_DEPTH = 400
 
 
 def normalize(f: Formula) -> Formula:
-    """Preprocessing pipeline: resugar edges, rewrite, expand any-edges."""
+    """Preprocessing pipeline: resugar edges, rewrite, expand any-edges.
+
+    Repeated until a round changes nothing.  After a round that expanded
+    no any-edge, ``f`` is a fixpoint of ``rewrite_logic`` and of the
+    expansion (it is ``settled``), so only resugaring can change it.
+    """
+    settled = False
     for _ in range(50):
-        g = expand_any_edges(rewrite_logic(resugar_edges(f)))
-        if g == f:
+        resugared = resugar_edges(f)
+        if settled and resugared is f:
             return f
+        rewritten = rewrite_logic(resugared)
+        g = expand_any_edges(rewritten)
+        if g is f:
+            return f
+        settled = g is rewritten
         f = g
     raise RuntimeError("normalization did not reach a fixpoint")
 
@@ -125,19 +141,19 @@ def analyze(f: Formula) -> Verdict:
 
 
 def _merge_blockers(*groups: tuple[Formula, ...]) -> tuple[Formula, ...]:
-    out: list[Formula] = []
-    for group in groups:
-        for g in group:
-            if g not in out:
-                out.append(g)
-    return tuple(out)
+    return tuple(dict.fromkeys(g for group in groups for g in group))
 
 
 def _analyze(f: Formula, memo: dict[Formula, Verdict]) -> Verdict:
-    verdict = memo.get(f)
-    if verdict is None:
-        verdict = memo[f] = _dispatch(f, memo)
-    return verdict
+    """Verdict of ``f``; the subformulas its rules look into (none under
+    a bare next or edge) are proved first, in post-order, so only schema
+    pieces recurse, as deep as ``G``/``F``/``U`` nest."""
+    if f not in memo:
+        for g in postorder(f, lambda g: g._kids if _ATTEMPTS.get(type(g))
+                           else ()):
+            if g not in memo:
+                memo[g] = _dispatch(g, memo)
+    return memo[f]
 
 
 def _dispatch(f: Formula, memo: dict) -> Verdict:
@@ -185,13 +201,10 @@ def _negate(g: Formula) -> Formula:
     return g.child if isinstance(g, Not) else Not(g)
 
 
-def _replace_nth(t: Formula, spine, n: int, rep: Formula):
-    """Replace the n-th leaf of the ``spine``-flattened view of ``t``."""
-    if isinstance(t, spine):
-        left, used = _replace_nth(t.left, spine, n, rep)
-        right, more = _replace_nth(t.right, spine, n - used, rep)
-        return type(t)(left, right), used + more
-    return (rep if n == 0 else t), 1
+def _replace_nth(t: Formula, kind: type, n: int, rep: Formula) -> Formula:
+    """Replace the n-th leaf of the ``kind`` chain at ``t``."""
+    leaves = itertools.count()
+    return map_spine(t, kind, lambda g: rep if next(leaves) == n else g)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +257,7 @@ def _children(f: Formula):
 
 def _event_candidates(f: Eventually):
     """``F(up A & X B & C)``: one candidate per edge conjunct."""
-    conjs = flatten_and(f.child)
+    conjs = spine(f.child, And)
     out = []
     for i, g in enumerate(conjs):
         a = _anchor(g)
@@ -252,7 +265,7 @@ def _event_candidates(f: Eventually):
             continue
         canonical = f
         if isinstance(g, FallEdge):
-            body = _replace_nth(f.child, And, i, RiseEdge(a))[0]
+            body = _replace_nth(f.child, And, i, RiseEdge(a))
             canonical = Eventually(body)
         b, c = _split(conjs[:i] + conjs[i + 1 :], True)
         out.append((canonical, (a, build_and(b), build_and(c))))
@@ -268,8 +281,8 @@ def _always_candidates(f: Always):
     if not isinstance(f.child, Implies):
         return []
     ante, cons = f.child.left, f.child.right
-    conjs = flatten_and(ante)
-    b_dis, c_dis = _split(flatten_or(cons), False)
+    conjs = spine(ante, And)
+    b_dis, c_dis = _split(spine(cons, Or), False)
     out = []
     for i, g in enumerate(conjs):
         a = _anchor(g)
@@ -277,7 +290,7 @@ def _always_candidates(f: Always):
             continue
         canonical = f
         if isinstance(g, FallEdge):
-            ante2 = _replace_nth(ante, And, i, RiseEdge(a))[0]
+            ante2 = _replace_nth(ante, And, i, RiseEdge(a))
             canonical = Always(Implies(ante2, cons))
         rest = [_negate(c) for c in conjs[:i] + conjs[i + 1 :]]
         b, c = _split(rest, False)
@@ -294,7 +307,7 @@ def _until_candidates(f: Until):
     conjunct only when it also has next-parts.  Absent pieces fill with
     the neutral constants.
     """
-    left_disjs = flatten_or(f.left)
+    left_disjs = spine(f.left, Or)
     lefts = []
     for i, g in enumerate(left_disjs):
         a = _anchor(g.child) if isinstance(g, Not) else None
@@ -302,10 +315,10 @@ def _until_candidates(f: Until):
             continue
         left2 = f.left
         if isinstance(g.child, FallEdge):
-            left2 = _replace_nth(f.left, Or, i, Not(RiseEdge(a)))[0]
+            left2 = _replace_nth(f.left, Or, i, Not(RiseEdge(a)))
         b, c = _split(left_disjs[:i] + left_disjs[i + 1 :], False)
         lefts.append((left2, a, build_or(b), build_or(c)))
-    right_conjs = flatten_and(f.right)
+    right_conjs = spine(f.right, And)
     anchors = [
         (j, d) for j, g in enumerate(right_conjs)
         if (d := _anchor(g)) is not None
@@ -317,7 +330,7 @@ def _until_candidates(f: Until):
             continue  # a next-part on the right needs the edge anchor
         right2 = f.right
         if j is not None and isinstance(right_conjs[j], FallEdge):
-            right2 = _replace_nth(f.right, And, j, RiseEdge(d))[0]
+            right2 = _replace_nth(f.right, And, j, RiseEdge(d))
         d = ConstTrue() if d is None else d
         rights.append((right2, d, build_and(e), build_and(fp)))
     return [
@@ -329,7 +342,7 @@ def _until_candidates(f: Until):
 
 def _thm_main_candidates(f: Eventually):
     """Raw shape: a negated conjunct, its next, and other next conjuncts."""
-    conjs = flatten_and(f.child)
+    conjs = spine(f.child, And)
     out = []
     for i, c in enumerate(conjs):
         if not isinstance(c, Not):
@@ -351,52 +364,51 @@ def _thm_main_candidates(f: Eventually):
 # always) over a disjunctive normal form of its body, so the schema rules
 # can see each product term on its own.
 
-def _nnf(g: Formula, neg: bool) -> Formula:
-    if isinstance(g, Not):
-        return _nnf(g.child, not neg)
-    if isinstance(g, And):
-        l, r = _nnf(g.left, neg), _nnf(g.right, neg)
-        return Or(l, r) if neg else And(l, r)
-    if isinstance(g, Or):
-        l, r = _nnf(g.left, neg), _nnf(g.right, neg)
-        return And(l, r) if neg else Or(l, r)
-    if isinstance(g, Implies):
-        if neg:
-            return And(_nnf(g.left, False), _nnf(g.right, True))
-        return Or(_nnf(g.left, True), _nnf(g.right, False))
-    if isinstance(g, Iff):
-        l, nl = _nnf(g.left, False), _nnf(g.left, True)
-        r, nr = _nnf(g.right, False), _nnf(g.right, True)
-        if neg:
-            return Or(And(l, nr), And(nl, r))
-        return Or(And(l, r), And(nl, nr))
-    if isinstance(g, Next):
-        return Next(_nnf(g.child, neg))
-    if isinstance(g, ConstTrue):
-        return ConstFalse() if neg else g
-    if isinstance(g, ConstFalse):
-        return ConstTrue() if neg else g
-    return Not(g) if neg else g
+_DUAL = {And: Or, Or: And, ConstTrue: ConstFalse, ConstFalse: ConstTrue}
+
+
+def _nnf(g: Formula) -> Formula:
+    """Negation normal form through the boolean connectives and ``Next``:
+    each subformula ``h``'s form and that of ``!h``, bottom-up."""
+    pos: dict[Formula, Formula] = {}
+    neg: dict[Formula, Formula] = {}
+    through = (Not, And, Or, Implies, Iff, Next)
+    for h in postorder(g, lambda h: h._kids if type(h) in through else ()):
+        kind = type(h)
+        if kind is Not:
+            pos[h], neg[h] = neg[h.child], pos[h.child]
+        elif kind is Next:
+            pos[h], neg[h] = Next(pos[h.child]), Next(neg[h.child])
+        elif kind in through:  # a binary connective
+            l, nl, r, nr = pos[h.left], neg[h.left], pos[h.right], neg[h.right]
+            if kind is Implies:
+                pos[h], neg[h] = Or(nl, r), And(l, nr)
+            elif kind is Iff:
+                pos[h] = Or(And(l, r), And(nl, nr))
+                neg[h] = Or(And(l, nr), And(nl, r))
+            else:
+                pos[h], neg[h] = kind(l, r), _DUAL[kind](nl, nr)
+        else:
+            pos[h] = h
+            neg[h] = _DUAL[kind]() if kind in _DUAL else Not(h)
+    return pos[g]
 
 
 def _dnf_terms(g: Formula) -> list[list[Formula]] | None:
-    if isinstance(g, Or):
-        left = _dnf_terms(g.left)
-        right = _dnf_terms(g.right)
-        if left is None or right is None:
+    """Product terms of ``g`` read as a DNF over its ``&``/``|`` nodes,
+    or None once a subformula has more than the cap."""
+    terms: dict[Formula, list[list[Formula]]] = {}
+    for h in postorder(g, lambda h: h._kids if type(h) in (And, Or) else ()):
+        if type(h) is Or:
+            found = terms[h.left] + terms[h.right]
+        elif type(h) is And:
+            found = [a + b for a in terms[h.left] for b in terms[h.right]]
+        else:
+            found = [[h]]
+        if len(found) > _FALLBACK_TERM_CAP:
             return None
-        terms = left + right
-    elif isinstance(g, And):
-        left = _dnf_terms(g.left)
-        right = _dnf_terms(g.right)
-        if left is None or right is None:
-            return None
-        terms = [a + b for a in left for b in right]
-    else:
-        terms = [[g]]
-    if len(terms) > _FALLBACK_TERM_CAP:
-        return None
-    return terms
+        terms[h] = found
+    return terms[g]
 
 
 def _fallback_rewrite(f: Formula) -> Formula | None:
@@ -407,7 +419,7 @@ def _fallback_rewrite(f: Formula) -> Formula | None:
         body, negated = Not(f.child), True
     else:
         return None
-    terms = _dnf_terms(_nnf(body, False))
+    terms = _dnf_terms(_nnf(body))
     if terms is None:
         return None
     parts = [
@@ -467,61 +479,92 @@ _ATTEMPTS = {
 # ---------------------------------------------------------------------------
 # Proof rendering, parsing and checking.
 
+def _proof_nodes(p: ProofTree) -> list[ProofTree]:
+    """Every node occurrence of ``p``, each before its premises, which are
+    taken right to left: reversed, the list is the post-order."""
+    out, todo = [], [p]
+    while todo:
+        q = todo.pop()
+        out.append(q)
+        todo += q.premises
+    return out
+
+
 def proof_to_doc(p: ProofTree) -> dict:
-    doc = {
-        "rule": p.rule.value,
-        "conclusion": render(p.conclusion),
-        "premises": [proof_to_doc(q) for q in p.premises],
-    }
-    if p.note is not None:
-        doc["note"] = p.note
-    return doc
+    done: list[dict] = []  # documents of finished nodes, premises last
+    for q in reversed(_proof_nodes(p)):
+        cut = len(done) - len(q.premises)
+        doc = {
+            "rule": q.rule.value,
+            "conclusion": render(q.conclusion),
+            "premises": done[cut:],
+        }
+        del done[cut:]
+        if q.note is not None:
+            doc["note"] = q.note
+        done.append(doc)
+    return done[0]
 
 
 def proof_from_doc(doc: dict) -> ProofTree:
     try:
-        rule = Rule(doc["rule"])
-        conclusion = parse(doc["conclusion"])
-        premises = tuple(proof_from_doc(q) for q in doc["premises"])
+        # Read in pre-order, then build each node after its premises.
+        order, todo = [], [doc]
+        while todo:
+            d = todo.pop()
+            order.append((d, Rule(d["rule"]), parse(d["conclusion"]),
+                          list(d["premises"])))
+            todo += reversed(order[-1][3])
+        built = {}
+        for d, rule, conclusion, premises in reversed(order):
+            built[id(d)] = ProofTree(
+                rule, conclusion, tuple(built[id(q)] for q in premises),
+                d.get("note"),
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed proof document: {exc}") from None
-    return ProofTree(rule, conclusion, premises, doc.get("note"))
+    return built[id(doc)]
+
+
+def _proof_depth(p: ProofTree) -> int:
+    depth: dict[int, int] = {}
+    for q in reversed(_proof_nodes(p)):
+        depth[id(q)] = 1 + max((depth[id(r)] for r in q.premises), default=0)
+    return depth[id(p)]
 
 
 def render_proof(p: ProofTree, format: str = "text") -> str:
-    """Readable derivation (premises first) or the structured document."""
+    """Readable derivation (premises first) or the structured document,
+    which is a ValueError for a proof over ``MAX_PROOF_DEPTH`` levels."""
     if format == "structured":
+        depth = _proof_depth(p)
+        if depth > MAX_PROOF_DEPTH:
+            raise ValueError(
+                f"proof is {depth} levels deep, over the limit of "
+                f"{MAX_PROOF_DEPTH} for the structured document"
+            )
         return json.dumps(proof_to_doc(p), indent=2)
     if format != "text":
         raise ValueError(f"unknown proof format {format!r}")
     lines: list[str] = []
-
-    def walk(node: ProofTree) -> None:
-        for q in node.premises:
-            walk(q)
-        entry = f"[{node.rule.value}] {render(node.conclusion)}"
+    shown: dict[Formula, str] = {}  # each conclusion is rendered once
+    for node in reversed(_proof_nodes(p)):
+        if node.conclusion not in shown:
+            shown[node.conclusion] = render(node.conclusion)
+        entry = f"[{node.rule.value}] {shown[node.conclusion]}"
         if node.premises:
             entry += "  <==  " + ", ".join(
-                render(q.conclusion) for q in node.premises
+                shown[q.conclusion] for q in node.premises
             )
         if node.note:
             entry += f"   ({node.note})"
         lines.append(entry)
-
-    walk(p)
     return "\n".join(lines)
 
 
 def check_proof(p: ProofTree) -> bool:
     """Re-derive every node from its premises by its named rule."""
     return all(_check_node(q) for q in _proof_nodes(p))
-
-
-def _proof_nodes(p: ProofTree) -> list[ProofTree]:
-    out = [p]
-    for q in p.premises:
-        out.extend(_proof_nodes(q))
-    return out
 
 
 def _premise_formulas(p: ProofTree) -> tuple[Formula, ...]:

@@ -59,6 +59,7 @@ from .formula import (
     RiseEdge,
     Until,
     children_of,
+    subformulas,
 )
 
 # A compiled formula: (node class, slot, slot) per distinct subformula, in
@@ -115,32 +116,24 @@ def enumerate_states(num_atoms: int, length: int) -> np.ndarray:
 def compile_formula(f: Formula, atoms: tuple[str, ...]) -> Program:
     """Flat post-order program of ``f`` over the atom columns ``atoms``.
 
-    Equal subformulas share one instruction: each is keyed by its class
-    and its children's slots, so no subtree is hashed.  Raises KeyError
-    for an atom not in ``atoms``.
+    One instruction per distinct subformula (nodes are interned, so equal
+    subformulas are one node).  Raises KeyError for an atom not in
+    ``atoms``.
     """
     column = {name: j for j, name in enumerate(atoms)}
-    slots: dict[tuple, int] = {}
-    done: list[int] = []  # slots of finished subformulas, innermost last
-    todo: list[tuple[Formula, bool]] = [(f, False)]
-    while todo:
-        g, expanded = todo.pop()
-        kids = children_of(g)
-        if kids and not expanded:
-            todo.append((g, True))
-            todo.extend((c, False) for c in reversed(kids))
-            continue
+    slots: dict[Formula, int] = {}
+    program = []
+    for g in subformulas(f):
         kind = type(g)
         if kind is Atom:
             args = [column[g.name]]
         elif kind in _POINTWISE or kind in _SUCCESSOR or kind in _RECURRENCE:
-            args = done[len(done) - len(kids):]
-            del done[len(done) - len(kids):]
+            args = [slots[c] for c in children_of(g)]
         else:
             raise TypeError(f"not a formula: {g!r}")
-        key = (kind, *args, *[-1] * (2 - len(args)))
-        done.append(slots.setdefault(key, len(slots)))
-    return tuple(slots)
+        slots[g] = len(program)
+        program.append((kind, *args, *[-1] * (2 - len(args))))
+    return tuple(program)
 
 
 def step(program: Program, letter: np.ndarray, nxt: np.ndarray) -> np.ndarray:

@@ -100,11 +100,10 @@ def _add_user_flag(p: argparse.ArgumentParser) -> None:
 def _cmd_analyze(args) -> int:
     verdict = analyze(parse(args.formula))
     if isinstance(verdict, Closed):
-        print("Closed")
-        if args.proof == "text":
-            print(render_proof(verdict.proof))
-        elif args.proof == "json":
-            print(render_proof(verdict.proof, "structured"))
+        # Rendered first, so a proof too deep for JSON prints nothing.
+        proof = args.proof and render_proof(
+            verdict.proof, "structured" if args.proof == "json" else "text")
+        print("Closed" + (f"\n{proof}" if proof else ""))
         return 0
     print("Unknown")
     for blocker in verdict.blockers:

@@ -22,7 +22,7 @@ from .batch import (
     _window_temporal,
     compile_formula,
 )
-from .formula import Formula, atoms_of
+from .formula import Formula
 
 State = tuple[bool, ...]
 
@@ -114,21 +114,17 @@ def unroll(t: LassoTrace, k: int) -> LassoTrace:
     return LassoTrace(t.atoms, t.stem + t.loop * k, t.loop)
 
 
-def _check_atoms(f: Formula, t: LassoTrace) -> None:
-    for name in atoms_of(f):
-        if name not in t.atoms:
-            raise UnknownAtomError(
-                f"formula atom {name!r} is not among the trace atoms "
-                f"{list(t.atoms)}"
-            )
-
-
 def _eval_one_row(f: Formula, t: LassoTrace, p: int,
                   temporal: _Temporal) -> bool:
-    _check_atoms(f, t)
+    try:
+        program = compile_formula(f, t.atoms)
+    except KeyError as exc:
+        raise UnknownAtomError(
+            f"formula atom {exc.args[0]!r} is not among the trace atoms "
+            f"{list(t.atoms)}"
+        ) from None
     q = normalize_position(t, p)
-    rows = _root_rows(compile_formula(f, t.atoms), t._cells[None], t.stem_len,
-                      temporal)
+    rows = _root_rows(program, t._cells[None], t.stem_len, temporal)
     return bool(rows[q, -1, 0])
 
 

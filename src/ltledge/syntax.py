@@ -178,21 +178,30 @@ def _render(f: Formula, minimum: int) -> str:
     kind = type(f)
     if kind in _INFIX_OF:
         symbol, level, right_assoc = _INFIX_OF[kind]
-        if right_assoc or type(f.left) is not kind:
+        if type(f.left) is not kind and type(f.right) is not kind:
             # The operand on the associative side may bind at the same
             # level.
             text = (_render(f.left, level + right_assoc) + symbol
                     + _render(f.right, level + (not right_assoc)))
-        else:
-            # A left-nested run of one left-associative operator is
-            # walked in a loop, so flat chains of any length render.
-            parts = []
-            while type(f) is kind:
-                parts.append(_render(f.right, level + 1))
-                f = f.left
-            parts.append(_render(f, level))
-            text = symbol.join(reversed(parts))
-        return text if level >= minimum else "(" + text + ")"
+            return text if level >= minimum else "(" + text + ")"
+        # A chain of one operator is unfolded on an explicit stack of
+        # pieces, text or (node, minimum), so chains of any length
+        # render; only operands of other kinds recurse.
+        out, todo = [], [(f, minimum)]
+        while todo:
+            item = todo.pop()
+            if type(item) is str:
+                out.append(item)
+            elif type(item[0]) is not kind:
+                out.append(_render(*item))
+            else:
+                g, least = item
+                if level < least:
+                    out.append("(")
+                    todo.append(")")
+                todo += ((g.right, level + (not right_assoc)), symbol,
+                         (g.left, level + right_assoc))
+        return "".join(out)
     if kind in _PREFIX_OF:
         word, spaced = _PREFIX_OF[kind]
         text = _render(f.child, _PREFIX_LEVEL)

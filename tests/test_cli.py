@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ltledge
+from ltledge.analyzer import MAX_PROOF_DEPTH
 from ltledge.cli import main
 from ltledge.syntax import parse
 
@@ -224,14 +225,33 @@ def test_internal_errors_exit_with_three(run, monkeypatch):
     )
 
 
-def test_internal_error_on_a_wide_formula_exits_with_three(run):
-    # 300 conjuncts under G still exhaust the analyzer's recursion; the
-    # fault must not read as the exit code 1 of an Unknown verdict.
-    code, out, err = run(
-        "analyze", "G(" + " & ".join(f"a{i}" for i in range(300)) + ")"
-    )
-    assert (code, out) == (3, "")
-    assert err.startswith("internal error: ") and "Traceback" not in err
+@pytest.mark.parametrize("text", [
+    "G(" + " & ".join(f"a{i}" for i in range(300)) + ")",
+    " | ".join(["a"] * 300),
+], ids=["always-and-300", "or-300"])
+def test_wide_formulas_are_analyzed(run, text):
+    # & and | chains are not nesting, so their length is not limited
+    assert run("analyze", text) == (0, "Closed\n", "")
+
+
+def test_falsify_of_a_long_chain_is_over_the_budget(run):
+    text = " & ".join("abc"[i % 3] for i in range(5100))
+    code, out, err = run("falsify", text)
+    assert (code, out) == (2, "")
+    assert "SearchBounds(max_stem=4)" in err and "budget" in err
+
+
+def test_json_proofs_are_limited_in_depth(run):
+    # an n-operand | chain is proved by an n-level proof
+    deepest = " | ".join(["a"] * MAX_PROOF_DEPTH)
+    code, out, err = run("analyze", deepest, "--proof", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out.removeprefix("Closed\n"))["rule"] == "CUS-BINOP"
+    code, out, err = run("analyze", deepest + " | a", "--proof", "json")
+    assert (code, out) == (2, "")
+    assert err == (f"error: proof is {MAX_PROOF_DEPTH + 1} levels deep, over "
+                   f"the limit of {MAX_PROOF_DEPTH} for the structured "
+                   "document\n")
 
 
 def test_usage_errors_follow_argparse_convention(run, capsys):

@@ -2,18 +2,38 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
 import random
+import sys
+import threading
 
+import pytest
 from hypothesis import given, settings
 
 from conftest import formula_strategy, gen_formula
+from ltledge import (
+    Closed,
+    LassoTrace,
+    analyze,
+    check_proof,
+    eval_formula,
+    eval_oracle,
+    instantiate,
+    normalize,
+    render_proof,
+)
 from ltledge.formula import (
+    Always,
     And,
     AnyEdge,
     Atom,
     ConstFalse,
     ConstTrue,
+    Eventually,
     FallEdge,
+    Formula,
     Next,
     Not,
     Or,
@@ -25,12 +45,11 @@ from ltledge.formula import (
     children_of,
     desugar_edges,
     expand_any_edges,
-    flatten_and,
-    flatten_or,
     normalize_edge_negations,
     rebuild,
     resugar_edges,
     rewrite_logic,
+    spine,
     subformulas,
     transform_bottom_up,
 )
@@ -42,6 +61,60 @@ def test_nodes_are_hashable_and_comparable():
     assert Atom("p") != Atom("q")
     assert len({ConstTrue(), ConstTrue(), ConstFalse()}) == 2
     assert And(Atom("p"), Atom("q")) != And(Atom("q"), Atom("p"))
+
+
+def test_equal_nodes_are_one_node():
+    assert parse("a & b") is And(Atom("a"), Atom("b"))
+    assert Atom(name="a") is Atom("a")
+    assert And(right=Atom("b"), left=Atom("a")) is parse("a & b")
+    with pytest.raises(TypeError):
+        Not(Atom("a"), Atom("b"))
+    with pytest.raises(TypeError):
+        Atom(label="a")
+
+
+def test_pickled_and_copied_nodes_are_interned():
+    f = parse("G(up a -> X b | c U !d)")
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+
+
+def _interned() -> int:
+    return sum(len(kind._table) for kind in Formula.__subclasses__())
+
+
+def test_dropped_formulas_leave_the_table():
+    gc.collect()
+    before = _interned()
+    f = parse(" & ".join(f"dropped{i}" for i in range(40)))
+    assert _interned() == before + 79
+    del f
+    gc.collect()
+    assert _interned() == before
+
+
+def test_threads_intern_one_node_per_formula():
+    texts = [f"G(x{i} -> F y{i}) & !x{i}" for i in range(300)]
+    got: list[list] = []
+
+    def build():
+        got.append([parse(t) for t in texts])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 6
+    for nodes in zip(*got):
+        assert all(g is nodes[0] for g in nodes)
 
 
 def test_children_and_rebuild_round_trip():
@@ -96,8 +169,8 @@ def test_normalize_edge_negations_applies_dualities():
 
 def test_flatten_and_build_round_trip():
     f = parse("p & (q & r) & s")
-    assert [render(g) for g in flatten_and(f)] == ["p", "q", "r", "s"]
-    assert [render(g) for g in flatten_or(parse("p | q | r"))] == ["p", "q", "r"]
+    assert [render(g) for g in spine(f, And)] == ["p", "q", "r", "s"]
+    assert [render(g) for g in spine(parse("p | q | r"), Or)] == ["p", "q", "r"]
     assert build_and([Atom("p"), Atom("q"), Atom("r")]) == parse("p & (q & r)")
     assert build_and([]) == ConstTrue()
     assert build_or([]) == ConstFalse()
@@ -146,3 +219,51 @@ def test_desugar_removes_every_edge_node():
         plain = desugar_edges(f)
         kinds = {type(g) for g in subformulas(plain)}
         assert not kinds & {RiseEdge, FallEdge, AnyEdge}
+
+
+def _chain(symbol: str, nested: str) -> Formula:
+    names = [("a", "b", "c")[i % 3] for i in range(5000)]
+    if nested == "left":
+        return parse(f" {symbol} ".join(names))
+    build = build_and if symbol == "&" else build_or
+    return build([Atom(n) for n in names])
+
+
+LONG_CHAINS = {
+    "and-left": lambda: _chain("&", "left"),
+    "or-left": lambda: _chain("|", "left"),
+    "and-right": lambda: _chain("&", "right"),
+    "or-right": lambda: _chain("|", "right"),
+    "always-and": lambda: Always(_chain("&", "left")),
+}
+
+
+@pytest.mark.parametrize("make", LONG_CHAINS.values(), ids=LONG_CHAINS)
+def test_long_chains_work_everywhere(make):
+    # & and | chains are exempt from the nesting limit, so every walk
+    # must handle one far deeper than the interpreter's recursion limit
+    f, g = make(), make()
+    assert f == g and hash(f) == hash(g)
+    assert len(subformulas(f)) > 5000
+    assert atoms_of(f) == ("a", "b", "c")
+    assert desugar_edges(f) is f
+    assert normalize(normalize(f)) is normalize(f)
+    verdict = analyze(f)
+    assert isinstance(verdict, Closed)
+    assert check_proof(verdict.proof)
+    trace = LassoTrace(("a", "b", "c"), ((True, True, True),),
+                       ((True, False, True),))
+    assert eval_formula(f, trace) == eval_oracle(f, trace)
+    body, warnings = instantiate("existence/A/0", {"P": f})
+    assert body == Eventually(f) and warnings == ()
+
+
+@pytest.mark.parametrize("symbol", ["&", "|"])
+def test_text_proofs_of_long_chains(symbol):
+    # the text proof of an n-operand chain has n lines of up to n
+    # operands, so 1200 operands (past the recursion limit of 1000)
+    # keep it to a few megabytes
+    text = f" {symbol} ".join(["a"] * 1200)
+    lines = render_proof(analyze(parse(text)).proof).splitlines()
+    assert len(lines) >= 2 * 1200 - 1  # a line per operand and operator
+    assert lines[-1].split("] ", 1)[1].startswith(text + "  <==  ")
