@@ -56,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stem-max", type=int, default=SearchBounds.max_stem)
     p.add_argument("--loop-max", type=int, default=SearchBounds.max_loop)
     p.add_argument("--unroll-max", type=int, default=SearchBounds.max_unroll)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_falsify)
 
     p = sub.add_parser("pattern", help="work with the pattern catalog")
@@ -126,7 +125,7 @@ def _cmd_falsify(args) -> int:
         max_loop=args.loop_max,
         max_unroll=args.unroll_max,
     )
-    cex = falsify(parse(args.formula), bounds, jobs=args.jobs)
+    cex = falsify(parse(args.formula), bounds)
     if cex is None:
         print("no counterexample within bounds")
         return 0

@@ -30,8 +30,6 @@ before it is returned.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -121,18 +119,19 @@ def _sweep(program: Program, letters: np.ndarray, labels: np.ndarray,
     return rows[vectors[-1] != labels[0, -1, rows]]
 
 
-def _search_unit(payload) -> list[tuple]:
-    """Scan one (loop length, loop chunk) block of the search space.
+def _search_unit(program: Program, loops: np.ndarray, first: int,
+                 max_stem: int, max_unroll: int) -> list[tuple]:
+    """Scan one block of the search space: every lasso whose loop is one
+    of ``loops`` (loop indices ``first`` onwards), after every stem of
+    up to ``max_stem`` states, unrolled up to ``max_unroll`` times.
 
     Returns candidate tuples ``(loop_idx, stem_len, stem_idx, k, i,
     before, after)``, at most one per (stem_len, k, i): the first in
     enumeration order.  They are listed by (stem_len, k, i).
     """
-    program, num_atoms, bounds, loop_len, chunk_start, chunk_size = payload
-    loops = enumerate_states(num_atoms, loop_len)
-    loops = loops[chunk_start : chunk_start + chunk_size]
+    _, loop_len, num_atoms = loops.shape
     found: list[tuple] = []
-    for stem_len in range(bounds.max_stem + 1):
+    for stem_len in range(max_stem + 1):
         stems = enumerate_states(num_atoms, stem_len)
         n_stems, width = stems.shape[0], stem_len + loop_len
         # Row r holds loop r // n_stems after stem r % n_stems.
@@ -151,7 +150,7 @@ def _search_unit(payload) -> list[tuple]:
         for q in range(width):
             # Unroll depths whose new positions fold to q: k = 0 for a
             # stem position, else each k >= 1, at i = q + (k - 1) * loop.
-            depths = [0] if q < stem_len else range(1, bounds.max_unroll + 1)
+            depths = [0] if q < stem_len else range(1, max_unroll + 1)
             if not depths:
                 continue
             start = _diverging(program, letters, labels, q)
@@ -161,23 +160,28 @@ def _search_unit(payload) -> list[tuple]:
                 if flips.size:
                     r = int(flips[0])
                     before = bool(labels[0, -1, r])
-                    block.append((chunk_start + r // n_stems, stem_len,
+                    block.append((first + r // n_stems, stem_len,
                                   r % n_stems, k, i, before, not before))
         found.extend(sorted(block, key=lambda c: (c[3], c[4])))
     return found
 
 
-def _search_units(f: Formula, atom_names: tuple[str, ...],
-                  bounds: SearchBounds) -> list[tuple]:
-    program = compile_formula(f, atom_names)
-    num_atoms = len(atom_names)
+def _search_blocks(program: Program, num_atoms: int, bounds: SearchBounds,
+                   unrolled_stem: int | None = None):
+    """Yield ``(loop_len, candidates)`` per search block, in enumeration
+    order.  With ``unrolled_stem``, loops of length ``l`` are unrolled at
+    most ``unrolled_stem // l`` times.  The bounds are checked before
+    anything is allocated.
+    """
     chunk = _loop_chunk(len(program), num_atoms, bounds)
-    units = []
     for loop_len in range(1, bounds.max_loop + 1):
-        n_loops = 1 << (num_atoms * loop_len)
-        for start in range(0, n_loops, chunk):
-            units.append((program, num_atoms, bounds, loop_len, start, chunk))
-    return units
+        max_unroll = bounds.max_unroll
+        if unrolled_stem is not None:
+            max_unroll = min(max_unroll, unrolled_stem // loop_len)
+        loops = enumerate_states(num_atoms, loop_len)
+        for first in range(0, loops.shape[0], chunk):
+            yield loop_len, _search_unit(program, loops[first:first + chunk],
+                                         first, bounds.max_stem, max_unroll)
 
 
 def _atoms_for(f: Formula, bounds: SearchBounds) -> tuple[str, ...]:
@@ -247,39 +251,17 @@ def _reconstruct(f: Formula, atom_names: tuple[str, ...], loop_len: int,
     return Counterexample(f, trace, i, before, after)
 
 
-def falsify(f: Formula, bounds: SearchBounds | None = None,
-            jobs: int = 1) -> Counterexample | None:
-    """First stuttering counterexample within bounds, or None.
-
-    With ``jobs > 1`` the search blocks run in worker processes, at
-    most one per block and per CPU; the result is identical to the
-    sequential one because blocks are consumed in enumeration order.
-    """
+def falsify(f: Formula,
+            bounds: SearchBounds | None = None) -> Counterexample | None:
+    """First stuttering counterexample within bounds, or None."""
     if bounds is None:
         bounds = SearchBounds()
     atom_names = _atoms_for(f, bounds)
-    units = _search_units(f, atom_names, bounds)
-    for loop_len, found in _run_units(units, jobs):
+    program = compile_formula(f, atom_names)
+    for loop_len, found in _search_blocks(program, len(atom_names), bounds):
         if found:
-            best = min(found)
-            return _reconstruct(f, atom_names, loop_len, best)
+            return _reconstruct(f, atom_names, loop_len, min(found))
     return None
-
-
-def _run_units(units: list[tuple], jobs: int):
-    """Yield (loop_len, candidates) per unit, in enumeration order.
-
-    The pool starts every worker at once, so it gets no more workers
-    than there are units or CPUs.
-    """
-    workers = min(jobs, len(units), os.cpu_count() or 1)
-    if workers <= 1:
-        for unit in units:
-            yield unit[3], _search_unit(unit)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for unit, found in zip(units, pool.map(_search_unit, units)):
-            yield unit[3], found
 
 
 def _candidate_key(loop_len: int, candidate: tuple) -> tuple[int, int, int]:
@@ -316,18 +298,13 @@ def minimize(cex: Counterexample,
             or before == after):
         raise ValueError("not a valid counterexample for its formula")
     atom_names = _atoms_for(f, bounds)
-    _loop_chunk(len(compile_formula(f, atom_names)), len(atom_names), bounds)
+    program = compile_formula(f, atom_names)
+    _loop_chunk(len(program), len(atom_names), bounds)
     size = cex.trace.stem_len
     within = replace(bounds, max_stem=min(bounds.max_stem, size))
-    units = [
-        (program, num_atoms,
-         replace(within, max_unroll=min(within.max_unroll, size // loop_len)),
-         loop_len, start, chunk)
-        for program, num_atoms, _, loop_len, start, chunk
-        in _search_units(f, atom_names, within)
-    ]
     best: tuple | None = None  # ((size key, visit order), loop_len, candidate)
-    for loop_len, found in _run_units(units, 1):
+    for loop_len, found in _search_blocks(program, len(atom_names), within,
+                                          size):
         for candidate in found:
             loop_idx, stem_len, stem_idx, k, i, _, _ = candidate
             visit = (loop_len, loop_idx, stem_len, stem_idx, k, i)

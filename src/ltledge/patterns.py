@@ -157,8 +157,8 @@ class Catalog:
             raise ValueError(f"catalog document is not valid JSON: {exc}")
         if not isinstance(doc, list):
             raise ValueError("catalog document must be a list of entries")
-        added: list[PatternTemplate] = []
-        for entry in doc:
+        added: dict[str, PatternTemplate] = {}
+        for n, entry in enumerate(doc):
             if not isinstance(entry, dict):
                 raise ValueError("catalog entries must be objects")
             try:
@@ -167,26 +167,38 @@ class Catalog:
                 body_text = entry["body"]
             except KeyError as exc:
                 raise ValueError(f"catalog entry is missing field {exc}")
-            ident = raw_id if str(raw_id).startswith("user/") \
-                else f"user/{raw_id}"
+            notes = entry.get("notes", "")
+            name = repr(raw_id) if isinstance(raw_id, str) else f"#{n}"
+            for field, ok, kind in (
+                ("id", isinstance(raw_id, str), "a string"),
+                ("metavariables", isinstance(mvs, list)
+                 and all(isinstance(m, str) for m in mvs), "a list of strings"),
+                ("body", isinstance(body_text, str), "a string"),
+                ("notes", isinstance(notes, str), "a string"),
+            ):
+                if not ok:
+                    raise ValueError(f"entry {name}: field {field!r} must be "
+                                     f"{kind}")
+            ident = raw_id if raw_id.startswith("user/") else f"user/{raw_id}"
             try:
                 body = parse(body_text)
             except ParseError as exc:
                 raise ValueError(f"entry {raw_id!r}: {exc}") from None
-            added.append(PatternTemplate(
+            if ident in self._entries or ident in added:
+                raise ValueError(f"duplicate pattern id {ident!r}")
+            added[ident] = PatternTemplate(
                 ident=ident,
                 pattern="user",
                 scope=None,
                 combination=None,
                 metavariables=tuple(mvs),
                 body=body,
-                notes=str(entry.get("notes", "")),
-            ))
-        for t in added:
-            if t.ident in self._entries:
-                raise ValueError(f"duplicate pattern id {t.ident!r}")
-            self._entries[t.ident] = t
-        return tuple(t.ident for t in added)
+                notes=notes,
+            )
+        # Inserted only once every entry is checked: a rejected document
+        # loads nothing.
+        self._entries.update(added)
+        return tuple(added)
 
     def instantiate(
         self, ident: str, binding: dict[str, Formula]

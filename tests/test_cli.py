@@ -178,6 +178,23 @@ def test_user_catalog_flag(run, tmp_path):
     assert code == 0 and len(out.splitlines()) == 21
 
 
+@pytest.mark.parametrize("entry", [
+    {"id": "t", "metavariables": 5, "body": "F p"},
+    {"id": "t", "metavariables": "PQ", "body": "F p"},
+    {"id": "t", "metavariables": ["P"], "body": 5},
+    {"id": 5, "metavariables": ["P"], "body": "F p"},
+    {"id": "t", "metavariables": ["P"], "body": "F p", "notes": 5},
+], ids=["metavariables-number", "metavariables-string", "body-number",
+        "id-number", "notes-number"])
+def test_malformed_user_catalog_fields_are_usage_errors(run, tmp_path,
+                                                       entry):
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps([entry]))
+    code, out, err = run("pattern", "list", "--user", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: entry ") and err.count("\n") == 1
+
+
 def test_errors_exit_with_two(run, tmp_path):
     for argv in (
         ("analyze", "p &"),
@@ -259,6 +276,13 @@ def test_usage_errors_follow_argparse_convention(run, capsys):
         main(["eval", "zz", "--position", "0"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def test_falsify_has_no_jobs_option(run, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["falsify", "X a", "--jobs", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_unknown_trace_atom_is_a_clean_error(run, trace_file):

@@ -26,9 +26,9 @@ from ltledge.falsifier import (
     SearchBounds,
     _candidate_key,
     _diverging,
+    _loop_chunk,
     _reconstruct,
-    _search_unit,
-    _search_units,
+    _search_blocks,
     _sweep,
     cex_from_doc,
     cex_to_doc,
@@ -89,11 +89,6 @@ def test_stutter_invariant_formulas_survive():
         assert falsify(parse(text)) is None, text
 
 
-def test_search_is_deterministic_across_job_counts():
-    for text in ("X a", "up a", "edge b"):
-        assert falsify(parse(text), jobs=2) == falsify(parse(text))
-
-
 def test_minimize_is_idempotent_and_never_grows():
     cex = falsify(parse("X a"), SearchBounds(max_stem=3, max_loop=2))
     small = minimize(cex)
@@ -137,38 +132,6 @@ def test_minimize_searches_only_stems_that_can_beat_its_input(monkeypatch):
             small.stutter_index) == (1, 1, 0)
 
 
-def test_process_pool_is_capped_by_units_and_cpus(monkeypatch):
-    made = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(falsifier, "ProcessPoolExecutor", InProcessPool)
-    f = parse("X a")
-    want = falsify(f)
-    assert len(_search_units(f, ("a",), SearchBounds())) == 3
-    for cpus, jobs, workers in ((4, 100000, 3), (2, 100000, 2), (64, 2, 2)):
-        monkeypatch.setattr(falsifier.os, "cpu_count", lambda: cpus)
-        made.clear()
-        assert falsify(f, jobs=jobs) == want
-        assert made == [workers]
-    for cpus, jobs in ((None, 100000), (1, 100000), (8, 1)):
-        monkeypatch.setattr(falsifier.os, "cpu_count", lambda: cpus)
-        made.clear()
-        assert falsify(f, jobs=jobs) == want
-        assert made == []  # one worker: no pool
-
-
 def test_bounds_validation():
     with pytest.raises(ValueError):
         SearchBounds(max_loop=0)
@@ -204,17 +167,27 @@ def test_search_size_is_checked_before_allocating(monkeypatch):
     # of 32, 25.8 MB each where 32 loops would take 165 MB; a program for
     # which the block of one loop cannot fit is refused.
     atoms = ("a", "b", "c")
-    wide = parse(" & ".join(atoms * 300))
-    program, _, _, _, _, chunk = _search_units(wide, atoms, SearchBounds())[0]
+    program = compile_formula(parse(" & ".join(atoms * 300)), atoms)
+    chunk = _loop_chunk(len(program), len(atoms), SearchBounds())
     block = 7 * len(program) << 12
     assert (len(program), chunk) == (902, 5)
     assert chunk * block <= 1 << 27 < 32 * block
     with pytest.raises(ValueError, match=r"max_stem=6\).*x 9 positions x 62 "):
         falsify(parse(" & ".join(atoms * 20)), SearchBounds(max_stem=6))
+    monkeypatch.undo()
     # The unroll depth allocates nothing: these blocks are the defaults'.
     deep = SearchBounds(max_unroll=50)
-    assert ([unit[5] for unit in _search_units(parse("a & b & c"), atoms, deep)]
-            == [32] * 19)
+    program = compile_formula(parse("a & b & c"), atoms)
+    assert _loop_chunk(len(program), len(atoms), deep) == 32
+    sizes = []
+
+    def recording(program, loops, *rest):
+        sizes.append(loops.shape[0])
+        return []
+
+    monkeypatch.setattr(falsifier, "_search_unit", recording)
+    assert len(list(_search_blocks(program, len(atoms), deep))) == 19
+    assert sizes == [8] + [32] * 18  # 2**3 loops of one state
     monkeypatch.undo()
     assert falsify(parse("a & b & c"), deep) is None
 
@@ -318,11 +291,18 @@ def test_search_units_match_explicit_relabeling():
     for text in texts:
         f = parse(text)
         atom_names = atoms_of(f) or ("p",)
-        for unit in _search_units(f, atom_names, bounds):
-            _, _, _, loop_len, start, chunk = unit
+        program = compile_formula(f, atom_names)
+        chunk = _loop_chunk(len(program), len(atom_names), bounds)
+        starts = [(loop_len, start)
+                  for loop_len in range(1, bounds.max_loop + 1)
+                  for start in range(0, 1 << len(atom_names) * loop_len,
+                                     chunk)]
+        blocks = _search_blocks(program, len(atom_names), bounds)
+        for (loop_len, found), (want_len, start) in zip(blocks, starts,
+                                                        strict=True):
             want = _explicit_unit(f, atom_names, bounds, loop_len, start,
                                   chunk)
-            assert _search_unit(unit) == want, (text, loop_len, start)
+            assert (loop_len, found) == (want_len, want), (text, start)
             hits += bool(want)
     assert hits > 20
 
@@ -343,9 +323,10 @@ def test_minimize_agrees_with_the_search_of_the_whole_bounds(stems):
         f = parse(text)
         atom_names = atoms_of(f) or ("p",)
         ranked = []
-        for unit in _search_units(f, atom_names, bounds):
-            loop_len = unit[3]
-            for c in _search_unit(unit):
+        program = compile_formula(f, atom_names)
+        for loop_len, found in _search_blocks(program, len(atom_names),
+                                              bounds):
+            for c in found:
                 visit = (loop_len, c[0], c[1], c[2], c[3], c[4])
                 ranked.append(((_candidate_key(loop_len, c), visit),
                                loop_len, c))

@@ -127,6 +127,44 @@ def test_user_catalog_rejects_bad_documents():
         ))
 
 
+@pytest.mark.parametrize("entry,message", [
+    ({"id": 5, "metavariables": ["P"], "body": "F p"},
+     "entry #0: field 'id' must be a string"),
+    ({"id": "t", "metavariables": 5, "body": "F p"},
+     "entry 't': field 'metavariables' must be a list of strings"),
+    ({"id": "t", "metavariables": "PQ", "body": "F p"},
+     "entry 't': field 'metavariables' must be a list of strings"),
+    ({"id": "t", "metavariables": ["P", 1], "body": "F p"},
+     "entry 't': field 'metavariables' must be a list of strings"),
+    ({"id": "t", "metavariables": ["P"], "body": 5},
+     "entry 't': field 'body' must be a string"),
+    ({"id": "t", "metavariables": ["P"], "body": "F p", "notes": None},
+     "entry 't': field 'notes' must be a string"),
+], ids=["id-number", "metavariables-number", "metavariables-string",
+        "metavariables-mixed", "body-number", "notes-null"])
+def test_user_catalog_checks_field_types(entry, message):
+    cat = Catalog()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cat.load_user(json.dumps([entry]))
+    assert len(cat.ids()) == 20
+
+
+def test_rejected_user_document_loads_nothing():
+    cat = Catalog()
+    loaded = {"id": "c", "metavariables": ["P"], "body": "F p"}
+    cat.load_user(json.dumps([loaded]))
+    before = cat.ids()
+    ok = {"id": "a", "metavariables": ["P"], "body": "F p"}
+    bad_body = {"id": "b", "metavariables": ["P"], "body": "up ("}
+    for doc in ([ok, ok], [ok, bad_body], [ok, loaded]):
+        with pytest.raises(ValueError):
+            cat.load_user(json.dumps(doc))
+        assert cat.ids() == before
+    with pytest.raises(ValueError, match="duplicate pattern id 'user/a'"):
+        cat.load_user(json.dumps([ok, ok]))
+    assert cat.load_user(json.dumps([ok])) == ("user/a",)
+
+
 def test_template_validation():
     with pytest.raises(ValueError, match="uppercase"):
         PatternTemplate("x", "user", None, None, ("p",), parse("F p"))
