@@ -13,19 +13,27 @@ positions inside the k-th loop copy are new; duplicating an earlier
 position yields the same infinite word as a stutter at a smaller depth,
 so those are skipped.
 
-Each block of same-shape lassos is labeled once: the compiled formula
-(``batch.compile_formula``) gives every node's truth at every canonical
-position, by the labeling route.  No stuttered copy is built.
-Duplicating position ``i`` leaves the suffix after it unchanged, so the
-stuttered word's node vector at ``i + 1`` is the original one at ``i``,
-and its vector at ``i`` is one backward ``batch.step`` from there; that
-step depends only on the folded position, so it is taken once per
-canonical position for all unroll depths.  Only the lassos whose vector
-changed are swept back towards position 0, one step per position, and
-a lasso is dropped as soon as its vector matches the original labels
-again; a lasso still differing at the root at position 0 is a flip.
-Every candidate is re-checked on explicit traces by the scan route
-before it is returned.
+The search walks stem layers.  Each block of loops is labeled once,
+by the labeling route (``batch.compile_formula``), at the loop's own
+positions only.  Lasso ``(x u, v)`` has ``(u, v)`` as its suffix, so
+the node vectors at position 0 of every lasso with a stem one state
+longer are one backward ``batch.step`` per prepended state ``x`` from
+the layer before; no stuttered copy is built and no stem position is
+labeled.
+
+A stutter is followed as a live entry: a lasso, the stutter position,
+and the stuttered word's node vector.  Duplicating position ``i``
+leaves the suffix after it unchanged, so the stuttered word's vector at
+``i`` is one step from the original one there.  The stutters of loop
+positions, of every unroll depth, are walked back around the loop once,
+at stem 0, all together, one step per unrolled position.  Each stem
+layer then moves every live entry on by the prepended state, drops it
+once its whole vector equals the original's again (it would match at
+every earlier position too), and adds the one new stutter, at position
+0.  An entry whose root still differs from the original's is a flip.
+The entries are held in groups no larger than the block's labels at
+all ``stem + loop`` positions would be.  Every candidate is re-checked
+on explicit traces by the scan route before it is returned.
 """
 
 from __future__ import annotations
@@ -55,8 +63,9 @@ from .syntax import parse, render
 
 _CHUNK_TARGET_ROWS = 1 << 17
 # Bytes that the largest array of one search may hold: a block's labels
-# (positions x program nodes x lassos), or the table of every loop or
-# every stem of the longest length.  The defaults need 7 x 2**17 bytes
+# at every position (positions x program nodes x lassos), which bound its
+# stem layers and its groups of live stutters, or the table of every loop
+# or every stem of the longest length.  The defaults need 7 x 2**17 bytes
 # per program node at 3 atoms.
 _SEARCH_BUDGET_BITS = 27
 
@@ -84,39 +93,172 @@ class Counterexample:
     value_after: bool
 
 
-def _diverging(program: Program, letters: np.ndarray, labels: np.ndarray,
-               q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows whose node vector at canonical position ``q`` changes when
-    the state there is duplicated, and their new node vectors.
+# Live stutters as three aligned arrays: the lasso rows, the stutter
+# offsets and the stuttered words' node vectors at the position reached.
+# Row r of stem layer s is the lasso of loop r // 2**(atoms * s) after
+# stem r % 2**(atoms * s), as in enumeration order.  The offset is the
+# stutter position minus the stem length, so it stays fixed as states
+# are prepended: -s ..< 0 in the stem, and q + (k - 1) * loop at loop
+# position q of the k-th unrolled copy.
+_Live = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    After the duplication the next position carries the old suffix from
-    ``q``, so the new vector at ``q`` is one :func:`step` from
-    ``labels[q]``.
+
+def _diverging(program: Program, letter: np.ndarray,
+               vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows whose node vector changes when the state with ``letter`` and
+    node vectors ``vectors`` is duplicated, and their new node vectors.
+
+    After the duplication the copy is followed by the old word, so its
+    vector is one :func:`step` from ``vectors``.
     """
-    moved = step(program, letters[q], labels[q])
-    rows = np.flatnonzero((moved != labels[q]).any(axis=0))
+    moved = step(program, letter, vectors)
+    rows = np.flatnonzero((moved != vectors).any(axis=0)).astype(np.int32)
     return rows, moved[:, rows]
 
 
-def _sweep(program: Program, letters: np.ndarray, labels: np.ndarray,
-           fold, i: int, rows: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Rows among ``rows`` whose root at position 0 flips when position
-    ``i`` of the unrolled lasso is duplicated.
+def _live(rows: np.ndarray, vectors: np.ndarray, offset: int) -> _Live:
+    return rows, np.full(rows.size, offset, np.int32), vectors
 
-    ``rows`` and their ``vectors`` at ``i`` come from :func:`_diverging`
-    at ``fold(i)``; each step back to ``j`` reads the letter and the
-    original labels at ``fold(j)``.  Positions before ``i`` keep their
-    letters, so a row whose vector matches the original labels again
-    matches at every earlier position too, and is dropped.
+
+def _no_stutters(vectors: np.ndarray) -> _Live:
+    return _live(np.empty(0, dtype=np.int32), vectors[:, :0], 0)
+
+
+def _joined(live: _Live, more: _Live) -> _Live:
+    return tuple(np.concatenate(parts, axis=-1) for parts in zip(live, more))
+
+
+def _still_moved(program: Program, letter: np.ndarray, original: np.ndarray,
+                 live: _Live) -> _Live:
+    """Step the live vectors back one position, reading ``letter``, and
+    keep the entries whose vector still differs from the ``original``
+    one there, which is overwritten.  Earlier positions keep their
+    letters, so an entry that matches again would match at every earlier
+    position too."""
+    rows, offsets, vectors = live
+    vectors = step(program, letter, vectors)
+    moved = np.not_equal(vectors, original, out=original).any(axis=0)
+    return rows[moved], offsets[moved], vectors[:, moved]
+
+
+def _stem_layers(program: Program, roots: np.ndarray, states: np.ndarray,
+                 max_stem: int) -> list[tuple[np.ndarray, _Live]]:
+    """Per stem length ``s = 0 ..= max_stem``: the node vectors at
+    position 0 of every lasso of the block, and the live stutters of
+    position 0 (none at stem 0).
+
+    ``roots`` holds the loops' own vectors and ``states`` the letters of
+    every state, one column each.  Lasso ``(x u, v)`` has ``(u, v)`` as
+    its suffix, so each layer is one :func:`step` per prepended state
+    ``x`` from the layer before.
     """
-    for j in range(i - 1, -1, -1):
+    layers = [(roots, _no_stutters(roots))]
+    count, n_loops = states.shape[1], roots.shape[1]
+    for s in range(max_stem):
+        stems = count**s
+        letter = np.tile(np.repeat(states, stems, axis=1), n_loops)
+        tails = layers[-1][0].reshape(len(program), n_loops, 1, stems)
+        vectors = step(program, letter, np.repeat(tails, count, axis=2)
+                       .reshape(len(program), -1))
+        layers.append((vectors, _live(*_diverging(program, letter, vectors),
+                                      -s - 1)))
+    return layers
+
+
+def _prepend(program: Program, states: np.ndarray, stems: int,
+             vectors: np.ndarray, live: _Live) -> _Live:
+    """Move ``live`` from a layer of ``stems`` stems per loop to position
+    0 of the next one, whose vectors are ``vectors``: the entry of row
+    ``(u, v)`` goes to row ``(x u, v)`` for every state ``x``."""
+    rows, offsets, moved = live
+    if not rows.size:
+        return live
+    count = states.shape[1]
+    stem = rows % stems
+    rows = ((rows - stem) * count + stem
+            + np.arange(0, count * stems, stems, dtype=np.int32)[:, None])
+    rows = rows.ravel()
+    return _still_moved(
+        program, np.repeat(states, stem.size, axis=1), vectors[:, rows],
+        (rows, np.tile(offsets, count), np.tile(moved, count)))
+
+
+def _loop_stutters(program: Program, loops: np.ndarray, labels: np.ndarray,
+                   max_unroll: int, cap: int):
+    """Yield the live stutters of loop positions at every unroll depth
+    up to ``max_unroll`` on the stem-0 lassos, at position 0, in groups
+    of at most ``cap`` entries.
+
+    Walking the stutter position down from the deepest copy, all entries
+    move back together, one step per position, and the stutter there
+    joins them.  When it would overflow ``cap``, the entries so far are
+    walked to position 0 on their own and yielded first.
+    """
+    loop_len = labels.shape[0]
+    letters = loops.transpose(1, 2, 0)
+
+    def back(live: _Live, j: int) -> _Live:
+        rows = live[0]
         if not rows.size:
-            break
-        q = fold(j)
-        vectors = step(program, letters[q][:, rows], vectors)
-        moved = (vectors != labels[q][:, rows]).any(axis=0)
-        rows, vectors = rows[moved], vectors[:, moved]
-    return rows[vectors[-1] != labels[0, -1, rows]]
+            return live
+        q = j % loop_len
+        return _still_moved(program, letters[q][:, rows], labels[q][:, rows],
+                            live)
+
+    starts = [_diverging(program, letters[q], labels[q])
+              for q in range(loop_len)]
+    live = _no_stutters(labels[0])
+    for i in range(max_unroll * loop_len - 1, -1, -1):
+        live = back(live, i)
+        start = _live(*starts[i % loop_len], i)
+        if live[0].size + start[0].size > cap:
+            for j in range(i - 1, -1, -1):
+                live = back(live, j)
+            yield live
+            live = start
+        else:
+            live = _joined(live, start)
+    yield live
+
+
+def _flips(program: Program, loops: np.ndarray, max_stem: int,
+           max_unroll: int):
+    """Yield ``(stem_len, rows, k, i, before)`` for the stutters that
+    flip the root, per layer that has any: the stutter at position
+    ``i[n]`` of the lasso of row ``rows[n]``, unrolled ``k[n]`` times,
+    flips its value at position 0 from ``before[n]``.
+
+    Each row's loop is one of ``loops``; its stem has ``stem_len`` of up
+    to ``max_stem`` states, and its unroll depth is at most
+    ``max_unroll``.  Only the loops are labeled; the stem layers and the
+    stutters follow by :func:`step`.  No group of live stutters outgrows
+    this block's labels at the ``max_stem + loop`` positions of its
+    longest stems: a stem-0 group holds at most ``loop`` entries per
+    loop, the stem stutters (at most one per lasso and layer) ride with
+    the first group, and each layer multiplies entries at most by the
+    number of states, as it does rows.
+    """
+    n_loops, loop_len, num_atoms = loops.shape
+    labels = _root_rows(program, loops, 0, _label_temporal)
+    states = enumerate_states(num_atoms, 1)[:, 0].T
+    layers = _stem_layers(program, labels[0], states, max_stem)
+    groups = _loop_stutters(program, loops, labels, max_unroll,
+                            loop_len * n_loops)
+    for g, live in enumerate(groups):
+        for s, (vectors, starts) in enumerate(layers):
+            if s:
+                live = _prepend(program, states, states.shape[1] ** (s - 1),
+                                vectors, live)
+                if g == 0:
+                    live = _joined(live, starts)
+                elif not live[0].size:
+                    break
+            rows, offsets, moved = live
+            hit = moved[-1] != vectors[-1, rows]
+            if hit.any():
+                offsets = offsets[hit]
+                k = np.where(offsets < 0, 0, offsets // loop_len + 1)
+                yield s, rows[hit], k, offsets + s, ~moved[-1, hit]
 
 
 def _search_unit(program: Program, loops: np.ndarray, first: int,
@@ -129,41 +271,19 @@ def _search_unit(program: Program, loops: np.ndarray, first: int,
     before, after)``, at most one per (stem_len, k, i): the first in
     enumeration order.  They are listed by (stem_len, k, i).
     """
-    _, loop_len, num_atoms = loops.shape
-    found: list[tuple] = []
-    for stem_len in range(max_stem + 1):
-        stems = enumerate_states(num_atoms, stem_len)
-        n_stems, width = stems.shape[0], stem_len + loop_len
-        # Row r holds loop r // n_stems after stem r % n_stems.
-        cells = np.empty((loops.shape[0], n_stems, width, num_atoms),
-                         dtype=bool)
-        cells[:, :, :stem_len] = stems
-        cells[:, :, stem_len:] = loops[:, None]
-        cells = cells.reshape(-1, width, num_atoms)
-        labels = _root_rows(program, cells, stem_len, _label_temporal)
-        letters = cells.transpose(1, 2, 0)
-
-        def fold(j: int) -> int:
-            return j if j < stem_len else stem_len + (j - stem_len) % loop_len
-
-        block: list[tuple] = []
-        for q in range(width):
-            # Unroll depths whose new positions fold to q: k = 0 for a
-            # stem position, else each k >= 1, at i = q + (k - 1) * loop.
-            depths = [0] if q < stem_len else range(1, max_unroll + 1)
-            if not depths:
-                continue
-            start = _diverging(program, letters, labels, q)
-            for k in depths:
-                i = q + max(0, k - 1) * loop_len
-                flips = _sweep(program, letters, labels, fold, i, *start)
-                if flips.size:
-                    r = int(flips[0])
-                    before = bool(labels[0, -1, r])
-                    block.append((first + r // n_stems, stem_len,
-                                  r % n_stems, k, i, before, not before))
-        found.extend(sorted(block, key=lambda c: (c[3], c[4])))
-    return found
+    n_states = 1 << loops.shape[2]
+    found = {}
+    for s, rows, k, i, before in _flips(program, loops, max_stem, max_unroll):
+        # Within a layer the position names the stutter, and each
+        # stutter's entries all live in one group.
+        for ii in np.flatnonzero(np.bincount(i)).tolist():
+            n = np.flatnonzero(i == ii)
+            n = n[np.argmin(rows[n])]
+            loop_idx, stem_idx = divmod(int(rows[n]), n_states**s)
+            found[s, int(k[n]), ii] = (first + loop_idx, s, stem_idx,
+                                       int(k[n]), ii, bool(before[n]),
+                                       not before[n])
+    return [found[key] for key in sorted(found)]
 
 
 def _search_blocks(program: Program, num_atoms: int, bounds: SearchBounds,
@@ -198,14 +318,19 @@ def _atoms_for(f: Formula, bounds: SearchBounds) -> tuple[str, ...]:
 def _loop_chunk(nodes: int, num_atoms: int, bounds: SearchBounds) -> int:
     """Loops per search block, for a program of ``nodes`` nodes.
 
-    A block labels (loop chunk) x (every stem of one length) lassos at
-    their ``stem + loop`` canonical positions, one byte per program node
-    each; the unroll depth costs no memory.  The chunk aims at
+    A block covers (loop chunk) x (every stem of up to ``max_stem``
+    states) lassos.  It is sized as their labels at the ``stem + loop``
+    canonical positions of the longest stem, one byte per program node
+    each, which no array of the block outgrows (see :func:`_flips`);
+    the unroll depth costs no memory.  The chunk aims at
     ``_CHUNK_TARGET_ROWS`` lassos per block and shrinks only for a
     program whose block would go over the budget.  Raises ValueError,
     before anything is allocated, when the block of a single loop or
     the table of every loop or every stem of the longest length cannot
-    fit.  Lasso counts are powers of two, kept as exponents.
+    fit, or when the live stutters of a single loop, one node vector per
+    stutter start and stem, would not fit at once: the search holds
+    them in groups, but its time grows with their number.  Lasso counts
+    are powers of two, kept as exponents.
     """
     stem_bits = num_atoms * bounds.max_stem
     width = bounds.max_stem + bounds.max_loop
@@ -222,6 +347,11 @@ def _loop_chunk(nodes: int, num_atoms: int, bounds: SearchBounds) -> int:
             bounds, "max_stem", f"search blocks of at least 2**{stem_bits} "
             f"lassos x {width} positions x {nodes} formula nodes "
             f"({num_atoms} atoms)")
+    starts = bounds.max_unroll * bounds.max_loop + bounds.max_stem
+    if (starts * nodes) << stem_bits > budget:
+        raise _over_budget(
+            bounds, "max_unroll", f"{starts} stutter starts x 2**{stem_bits} "
+            f"stems x {nodes} formula nodes for a single loop")
     return min(max(1, _CHUNK_TARGET_ROWS >> stem_bits), budget // per_loop)
 
 

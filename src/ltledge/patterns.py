@@ -186,15 +186,18 @@ class Catalog:
                 raise ValueError(f"entry {raw_id!r}: {exc}") from None
             if ident in self._entries or ident in added:
                 raise ValueError(f"duplicate pattern id {ident!r}")
-            added[ident] = PatternTemplate(
-                ident=ident,
-                pattern="user",
-                scope=None,
-                combination=None,
-                metavariables=tuple(mvs),
-                body=body,
-                notes=notes,
-            )
+            try:
+                added[ident] = PatternTemplate(
+                    ident=ident,
+                    pattern="user",
+                    scope=None,
+                    combination=None,
+                    metavariables=tuple(mvs),
+                    body=body,
+                    notes=notes,
+                )
+            except ValueError as exc:
+                raise ValueError(f"entry {raw_id!r}: {exc}") from None
         # Inserted only once every entry is checked: a rejected document
         # loads nothing.
         self._entries.update(added)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,15 @@ def test_malformed_user_catalog_fields_are_usage_errors(run, tmp_path,
     assert err.startswith("error: entry ") and err.count("\n") == 1
 
 
+def test_user_catalog_template_errors_name_the_entry(run, tmp_path):
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(
+        [{"id": "t", "metavariables": ["p"], "body": "F p"}]))
+    assert run("pattern", "list", "--user", str(path)) == (
+        2, "", "error: entry 't': metavariable 'p' must be a single "
+        "uppercase letter\n")
+
+
 def test_errors_exit_with_two(run, tmp_path):
     for argv in (
         ("analyze", "p &"),
@@ -229,6 +239,15 @@ def test_search_over_the_size_budget_is_a_usage_error(run):
     assert (code, out) == (2, "")
     assert "SearchBounds(max_stem=12)" in err and "budget" in err
     assert "Traceback" not in err
+
+
+def test_unbounded_unroll_depth_is_refused_at_once(run):
+    start = time.perf_counter()
+    code, out, err = run("falsify", "G(up a -> X b | c)",
+                         "--unroll-max", "100000")
+    assert (code, out) == (2, "")
+    assert "SearchBounds(max_unroll=100000)" in err and "budget" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_internal_errors_exit_with_three(run, monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,22 +15,16 @@ from hypothesis import strategies as st
 
 from conftest import all_lassos, formula_strategy, gen_formula
 from ltledge import falsifier
-from ltledge.batch import (
-    _label_temporal,
-    _root_rows,
-    compile_formula,
-    enumerate_states,
-    label_block,
-)
+from ltledge.batch import compile_formula, enumerate_states, label_block
 from ltledge.falsifier import (
     Counterexample,
     SearchBounds,
     _candidate_key,
-    _diverging,
+    _flips,
     _loop_chunk,
     _reconstruct,
     _search_blocks,
-    _sweep,
+    _stem_layers,
     cex_from_doc,
     cex_to_doc,
     falsify,
@@ -39,7 +34,6 @@ from ltledge.formula import atoms_of
 from ltledge.semantics import (
     LassoTrace,
     eval_formula,
-    normalize_position,
     stutter_at,
     unroll,
 )
@@ -116,18 +110,18 @@ def test_minimize_rejects_a_stutter_index_outside_the_stem(index):
 def test_minimize_searches_only_stems_that_can_beat_its_input(monkeypatch):
     cex = falsify(parse("X a"))
     assert len(cex.trace.stem) == 1
-    lengths = []
+    longest = []
 
-    def recording(num_atoms, length):
-        lengths.append(length)
-        return enumerate_states(num_atoms, length)
+    def recording(*args):
+        layers = _stem_layers(*args)
+        longest.append(len(layers) - 1)
+        return layers
 
-    monkeypatch.setattr(falsifier, "enumerate_states", recording)
+    monkeypatch.setattr(falsifier, "_stem_layers", recording)
     small = minimize(cex)
-    # Each loop length's block enumerates its loops, then stems of
-    # length 0 and 1 only (the default bounds allow 4); the last two
-    # calls rebuild the winning lasso.
-    assert lengths == [1, 0, 1, 2, 0, 1, 3, 0, 1, 1, 1]
+    # One block per loop length, each with stem layers of length 0 and 1
+    # only; the default bounds allow 4.
+    assert longest == [1, 1, 1]
     assert (small.trace.stem_len, small.trace.loop_len,
             small.stutter_index) == (1, 1, 0)
 
@@ -162,6 +156,8 @@ def test_search_size_is_checked_before_allocating(monkeypatch):
         falsify(parse("a & b & c"), SearchBounds(max_loop=9))
     with pytest.raises(ValueError, match="max_stem=30"):
         minimize(cex, SearchBounds(max_stem=30))
+    with pytest.raises(ValueError, match=r"max_unroll=100000\).*budget"):
+        falsify(parse("a & b & c"), SearchBounds(max_unroll=100000))
     # A block holds every program node at each position of each lasso.
     # A 900-operand conjunction (902 nodes) gets 5 loops per block instead
     # of 32, 25.8 MB each where 32 loops would take 165 MB; a program for
@@ -361,23 +357,39 @@ def test_one_step_sweep_agrees_with_explicit_relabeling(f, t, k, data):
     unrolled = unroll(t, k)
     assume(unrolled.stem_len > 0)
     i = data.draw(st.integers(0, unrolled.stem_len - 1), label="i")
+    # The search meets the stutter at i in the first unrolled copy that
+    # holds it, and the lasso as the row of its stem among all stems of
+    # that length (the first state's first atom most significant).
+    depth = 0 if i < t.stem_len else (i - t.stem_len) // t.loop_len + 1
+    row = int("0" + "".join(str(int(v)) for state in t.stem for v in state), 2)
     program = compile_formula(f, t.atoms)
-    cells = np.array(t.stem + t.loop, dtype=bool).reshape(1, -1, 2)
-    labels = _root_rows(program, cells, t.stem_len, _label_temporal)
-    letters = cells.transpose(1, 2, 0)
+    loop = np.array(t.loop, dtype=bool).reshape(1, -1, 2)
+    flipped = any(
+        s == t.stem_len and (row, depth, i) in zip(rows.tolist(), ks.tolist(),
+                                                   positions.tolist())
+        for s, rows, ks, positions, _ in _flips(program, loop, t.stem_len,
+                                                depth))
+    before, after = (
+        label_block(f, t.atoms,
+                    np.array(trace.stem, dtype=bool).reshape(1, -1, 2),
+                    np.array(trace.loop, dtype=bool).reshape(1, -1, 2))[0]
+        for trace in (t, stutter_at(unrolled, i)))
+    assert flipped == (before != after)
 
-    def fold(j):
-        return normalize_position(t, j)
 
-    start = _diverging(program, letters, labels, fold(i))
-    flipped = _sweep(program, letters, labels, fold, i, *start).size
-    stuttered = stutter_at(unrolled, i)
-    want = label_block(
-        f, t.atoms,
-        np.array(stuttered.stem, dtype=bool).reshape(1, -1, 2),
-        np.array(stuttered.loop, dtype=bool).reshape(1, -1, 2),
-    )
-    assert (bool(labels[0, -1, 0]) != bool(flipped)) == want[0]
+def test_live_stutters_stay_within_a_block():
+    # A tautology whose inner G keeps diverging down to position 0, so
+    # that many stutters stay live through every layer.  The bound is the
+    # peak of a search that holds each block's (positions x nodes x
+    # lassos) labels whole, at any unroll depth.
+    f = parse("G(a -> X (b & c)) | !G(a -> X (b & c))")
+    tracemalloc.start()
+    try:
+        assert falsify(f, SearchBounds(max_unroll=50)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14.9 * 2**20
 
 
 GOLDEN_SEED = 17

@@ -140,8 +140,11 @@ def test_user_catalog_rejects_bad_documents():
      "entry 't': field 'body' must be a string"),
     ({"id": "t", "metavariables": ["P"], "body": "F p", "notes": None},
      "entry 't': field 'notes' must be a string"),
+    ({"id": "t", "metavariables": ["p"], "body": "F p"},
+     "entry 't': metavariable 'p' must be a single uppercase letter"),
 ], ids=["id-number", "metavariables-number", "metavariables-string",
-        "metavariables-mixed", "body-number", "notes-null"])
+        "metavariables-mixed", "body-number", "notes-null",
+        "metavariable-lowercase"])
 def test_user_catalog_checks_field_types(entry, message):
     cat = Catalog()
     with pytest.raises(ValueError, match=f"^{message}$"):
