@@ -34,6 +34,16 @@ every earlier position too), and adds the one new stutter, at position
 The entries are held in groups no larger than the block's labels at
 all ``stem + loop`` positions would be.  Every candidate is re-checked
 on explicit traces by the scan route before it is returned.
+
+Two exact rules skip searches that cannot find anything.  A program
+with no ``X`` or edge node (no node class in ``batch._SUCCESSOR``, the
+table :func:`batch.step` reads) is closed under stuttering, so
+:func:`falsify` returns None for it once the bounds are checked: with
+a repeated letter every other node's step is idempotent (pointwise
+nodes read only the letter and their children, and ``F``/``G``/``U``
+satisfy ``R(a, b, R(a, b, y)) = R(a, b, y)``), so no stutter start
+diverges.  And :func:`minimize` searches only the loop lengths, stems
+and unroll depths whose candidates can rank before its input.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .batch import (
+    _SUCCESSOR,
     Program,
     _label_temporal,
     _root_rows,
@@ -68,6 +79,10 @@ _CHUNK_TARGET_ROWS = 1 << 17
 # or every stem of the longest length.  The defaults need 7 x 2**17 bytes
 # per program node at 3 atoms.
 _SEARCH_BUDGET_BITS = 27
+# Loop-walk steps of one search: each block walks its stutters back over
+# every unrolled loop position, one step each, whatever its stems.  The
+# defaults need 106 at 3 atoms; unroll depth 1000 needs 53,000.
+_WALK_BUDGET_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -287,21 +302,28 @@ def _search_unit(program: Program, loops: np.ndarray, first: int,
 
 
 def _search_blocks(program: Program, num_atoms: int, bounds: SearchBounds,
-                   unrolled_stem: int | None = None):
+                   beat: tuple[int, int] | None = None):
     """Yield ``(loop_len, candidates)`` per search block, in enumeration
-    order.  With ``unrolled_stem``, loops of length ``l`` are unrolled at
-    most ``unrolled_stem // l`` times.  The bounds are checked before
-    anything is allocated.
+    order.  With ``beat = (n, l0)``, the unrolled stem and the loop
+    length of a counterexample, only lassos that can rank before it are
+    searched: their unrolled stem ``s + k * l`` is at most ``n``, and
+    less than ``n`` for loops longer than ``l0``.  The bounds are
+    checked before anything is allocated.
     """
     chunk = _loop_chunk(len(program), num_atoms, bounds)
     for loop_len in range(1, bounds.max_loop + 1):
-        max_unroll = bounds.max_unroll
-        if unrolled_stem is not None:
-            max_unroll = min(max_unroll, unrolled_stem // loop_len)
+        max_stem, max_unroll = bounds.max_stem, bounds.max_unroll
+        if beat is not None:
+            n, l0 = beat
+            limit = n if loop_len <= l0 else n - 1
+            if not limit:
+                continue  # a stutter needs an unrolled stem of 1 or more
+            max_stem = min(max_stem, limit)
+            max_unroll = min(max_unroll, limit // loop_len)
         loops = enumerate_states(num_atoms, loop_len)
         for first in range(0, loops.shape[0], chunk):
             yield loop_len, _search_unit(program, loops[first:first + chunk],
-                                         first, bounds.max_stem, max_unroll)
+                                         first, max_stem, max_unroll)
 
 
 def _atoms_for(f: Formula, bounds: SearchBounds) -> tuple[str, ...]:
@@ -329,8 +351,11 @@ def _loop_chunk(nodes: int, num_atoms: int, bounds: SearchBounds) -> int:
     the table of every loop or every stem of the longest length cannot
     fit, or when the live stutters of a single loop, one node vector per
     stutter start and stem, would not fit at once: the search holds
-    them in groups, but its time grows with their number.  Lasso counts
-    are powers of two, kept as exponents.
+    them in groups, but its time grows with their number.  That check
+    scales with the stems, so short stems also get a time bound: the
+    loop walks of the whole search, ``max_unroll * loop_len`` steps per
+    block, may take at most ``2**_WALK_BUDGET_BITS`` steps.  Lasso
+    counts are powers of two, kept as exponents.
     """
     stem_bits = num_atoms * bounds.max_stem
     width = bounds.max_stem + bounds.max_loop
@@ -352,13 +377,22 @@ def _loop_chunk(nodes: int, num_atoms: int, bounds: SearchBounds) -> int:
         raise _over_budget(
             bounds, "max_unroll", f"{starts} stutter starts x 2**{stem_bits} "
             f"stems x {nodes} formula nodes for a single loop")
-    return min(max(1, _CHUNK_TARGET_ROWS >> stem_bits), budget // per_loop)
+    chunk = min(max(1, _CHUNK_TARGET_ROWS >> stem_bits), budget // per_loop)
+    walk = bounds.max_unroll * sum(
+        length * -(-(1 << num_atoms * length) // chunk)
+        for length in range(1, bounds.max_loop + 1))
+    if walk > 1 << _WALK_BUDGET_BITS:
+        raise _over_budget(
+            bounds, "max_unroll", f"{walk} loop-walk steps (unroll depth x "
+            f"loop length, per block)", f"2**{_WALK_BUDGET_BITS} steps")
+    return chunk
 
 
-def _over_budget(bounds: SearchBounds, name: str, needs: str) -> ValueError:
+def _over_budget(bounds: SearchBounds, name: str, needs: str,
+                 budget: str = f"2**{_SEARCH_BUDGET_BITS} bytes") -> ValueError:
     return ValueError(
         f"SearchBounds({name}={getattr(bounds, name)}) needs {needs}, over "
-        f"the budget of 2**{_SEARCH_BUDGET_BITS} bytes"
+        f"the budget of {budget}"
     )
 
 
@@ -388,6 +422,9 @@ def falsify(f: Formula,
         bounds = SearchBounds()
     atom_names = _atoms_for(f, bounds)
     program = compile_formula(f, atom_names)
+    _loop_chunk(len(program), len(atom_names), bounds)
+    if not any(kind in _SUCCESSOR for kind, _, _ in program):
+        return None  # next-free: closed under stuttering
     for loop_len, found in _search_blocks(program, len(atom_names), bounds):
         if found:
             return _reconstruct(f, atom_names, loop_len, min(found))
@@ -410,8 +447,11 @@ def minimize(cex: Counterexample,
 
     A candidate with stem ``s``, loop ``l`` and unroll depth ``k`` has
     an unrolled stem of ``s + k * l``; it can tie or beat the input only
-    if that is at most the input's stem length ``n``.  So only stems up
-    to ``n`` and depths up to ``n // l`` are searched: the cost grows
+    if that is at most the input's stem length ``n``, and, if ``l`` is
+    longer than the input's loop, only if it is less than ``n``.  So for
+    each loop length only stems up to that limit and depths up to the
+    limit ``// l`` are searched, and a limit of 0 skips the loop length
+    (a stutter needs an unrolled stem of at least 1): the cost grows
     with the input's size, not with the bounds.  The bounds are still
     checked whole, before the search is narrowed.
     """
@@ -434,7 +474,7 @@ def minimize(cex: Counterexample,
     within = replace(bounds, max_stem=min(bounds.max_stem, size))
     best: tuple | None = None  # ((size key, visit order), loop_len, candidate)
     for loop_len, found in _search_blocks(program, len(atom_names), within,
-                                          size):
+                                          (size, cex.trace.loop_len)):
         for candidate in found:
             loop_idx, stem_len, stem_idx, k, i, _, _ = candidate
             visit = (loop_len, loop_idx, stem_len, stem_idx, k, i)

@@ -250,6 +250,15 @@ def test_unbounded_unroll_depth_is_refused_at_once(run):
     assert time.perf_counter() - start < 5
 
 
+def test_unbounded_unroll_depth_without_stems_is_refused_at_once(run):
+    start = time.perf_counter()
+    code, out, err = run("falsify", "G(up a -> X b | c)", "--stem-max", "0",
+                         "--unroll-max", "100000")
+    assert (code, out) == (2, "")
+    assert "SearchBounds(max_unroll=100000)" in err and "budget" in err
+    assert time.perf_counter() - start < 5
+
+
 def test_internal_errors_exit_with_three(run, monkeypatch):
     def broken(f):
         raise RuntimeError("analyzer fault")

@@ -24,6 +24,7 @@ from ltledge.falsifier import (
     _loop_chunk,
     _reconstruct,
     _search_blocks,
+    _search_unit,
     _stem_layers,
     cex_from_doc,
     cex_to_doc,
@@ -119,11 +120,60 @@ def test_minimize_searches_only_stems_that_can_beat_its_input(monkeypatch):
 
     monkeypatch.setattr(falsifier, "_stem_layers", recording)
     small = minimize(cex)
-    # One block per loop length, each with stem layers of length 0 and 1
-    # only; the default bounds allow 4.
-    assert longest == [1, 1, 1]
+    # One block, of loop length 1, with stem layers of length 0 and 1
+    # only; the default bounds allow 4.  Longer loops cannot beat a
+    # one-state loop with an unrolled stem of 1.
+    assert longest == [1]
     assert (small.trace.stem_len, small.trace.loop_len,
             small.stutter_index) == (1, 1, 0)
+
+
+def test_minimize_searches_longer_loops_only_below_its_input(monkeypatch):
+    cex = falsify(parse("up a"))
+    assert (cex.trace.stem_len, cex.trace.loop_len) == (2, 1)
+    searched = []
+
+    def recording(program, loops, first, max_stem, max_unroll):
+        searched.append((loops.shape[1], max_stem, max_unroll))
+        return _search_unit(program, loops, first, max_stem, max_unroll)
+
+    monkeypatch.setattr(falsifier, "_search_unit", recording)
+    small = minimize(cex)
+    # Loops longer than the input's rank before it only with an unrolled
+    # stem shorter than its 2 states: stems of at most 1, never unrolled.
+    assert searched == [(1, 2, 2), (2, 1, 0), (3, 1, 0)]
+    assert cex_to_doc(small)["trace"] == {
+        "atoms": ["a"], "stem": [[False]], "loop": [[True]],
+    }
+
+
+def test_next_free_programs_are_not_searched(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_search_blocks called")
+
+    monkeypatch.setattr(falsifier, "_search_blocks", refuse)
+    for text in ("G a", "a U (b & F !c)", "true", "!(p <-> G F q)"):
+        assert falsify(parse(text)) is None, text
+    # The bounds are still checked first.
+    with pytest.raises(ValueError, match=r"max_stem=12\).*budget"):
+        falsify(parse("a & b & c"), SearchBounds(max_stem=12))
+    with pytest.raises(ValueError, match=r"max_unroll=100000\).*budget"):
+        falsify(parse("G a"), SearchBounds(max_stem=0, max_unroll=100000))
+    with pytest.raises(ValueError, match="over the search cap"):
+        falsify(parse("a & b & c & d"))
+
+
+def test_next_free_programs_have_no_candidates():
+    # The evidence behind falsify's next-free rule: the full search finds
+    # no flip in any of them.
+    rng = random.Random(31)
+    for atoms in (("p", "q"), ("p", "q", "r")):
+        for _ in range(100):
+            f = gen_formula(rng, 4, atoms, next_free=True)
+            atom_names = atoms_of(f) or ("p",)
+            program = compile_formula(f, atom_names)
+            blocks = _search_blocks(program, len(atom_names), SearchBounds())
+            assert not any(found for _, found in blocks), render(f)
 
 
 def test_bounds_validation():
