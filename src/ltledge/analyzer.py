@@ -16,6 +16,8 @@ One table, ``_RULES``, maps each derivation rule to its conclusion node
 type, its candidate generator and its piece names (``"ABC"`` and so on;
 empty for the compositional rules, whose one candidate is the node's
 children).  A candidate is a canonical conclusion plus premise formulas.
+The three edge schema rules share one anchor reader (``_anchors``, which
+reads ``down a`` as ``up !a``) and one current/next splitter (``_split``).
 The prover tries, per node type, the table's rules for that type in
 order (``_ATTEMPTS``) and takes the first candidate whose pieces all
 prove closed; the checker accepts a node iff some candidate of its rule
@@ -191,11 +193,7 @@ def _try_schema(rule: Rule, f: Formula, memo: dict) -> Verdict:
         if blockers:
             failed.extend(blockers)
             continue
-        note = None
-        if names:
-            note = "; ".join(
-                f"{n}={render(g)}" for n, g in zip(names, pieces)
-            )
+        note = "; ".join(f"{n}={render(g)}" for n, g in zip(names, pieces))
         proofs = tuple(v.proof for v in verdicts)
         node = ProofTree(rule, canonical, proofs, note)
         if canonical != f:
@@ -221,16 +219,33 @@ def _replace_nth(t: Formula, kind: type, n: int, rep: Formula) -> Formula:
 # Candidate generators.  Each returns (canonical conclusion, premises)
 # pairs in the order analysis tries them; the proof checker accepts a
 # node iff some candidate reproduces its conclusion and premises exactly.
-# A canonical conclusion differs from the formula only where a fall edge
-# was read as the rise of the negation.
 
-def _anchor(g: Formula) -> Formula | None:
-    """``a`` for ``up a``, ``!a`` for ``down a`` (``down a = up !a``)."""
-    if isinstance(g, RiseEdge):
-        return g.child
-    if isinstance(g, FallEdge):
-        return Not(g.child)
-    return None
+def _edge(g: Formula, negated: bool) -> Formula | None:
+    """``g`` if it is an edge (if ``negated``, the edge ``g`` negates)."""
+    if negated:
+        g = g.child if isinstance(g, Not) else None
+    return g if isinstance(g, (RiseEdge, FallEdge)) else None
+
+
+def _anchors(chain: Formula, kind: type, negated: bool = False):
+    """Each edge anchor of the ``kind`` chain at ``chain``, in leaf order.
+
+    An anchor is an edge leaf, or a negated one if ``negated``.  Yields
+    (canonical chain, A, the other leaves): A is ``a`` for ``up a`` and
+    ``!a`` for ``down a``, and the canonical chain reads that fall edge as
+    ``up !a`` (``down a = up !a``).
+    """
+    leaves = spine(chain, kind)
+    for i, g in enumerate(leaves):
+        edge = _edge(g, negated)
+        if edge is None:
+            continue
+        a, canonical = edge.child, chain
+        if isinstance(edge, FallEdge):
+            a = Not(a)
+            rise = Not(RiseEdge(a)) if negated else RiseEdge(a)
+            canonical = _replace_nth(chain, kind, i, rise)
+        yield canonical, a, leaves[:i] + leaves[i + 1 :]
 
 
 def _split(items: list[Formula], conj: bool):
@@ -245,12 +260,11 @@ def _split(items: list[Formula], conj: bool):
     b_parts: list[Formula] = []
     c_parts: list[Formula] = []
     for g in items:
-        edge = g if conj else (g.child if isinstance(g, Not) else None)
         if isinstance(g, Next):
             b_parts.append(g.child)
         elif isinstance(g, Not) and isinstance(g.child, Next):
             b_parts.append(_negate(g.child.child))
-        elif isinstance(edge, (RiseEdge, FallEdge)):
+        elif (edge := _edge(g, not conj)) is not None:
             z, not_z = edge.child, _negate(edge.child)
             rising = isinstance(edge, RiseEdge) == conj  # !z now, z next
             c_parts.append(not_z if rising else z)
@@ -267,19 +281,10 @@ def _children(f: Formula):
 
 def _event_candidates(f: Eventually):
     """``F(up A & X B & C)``: one candidate per edge conjunct."""
-    conjs = spine(f.child, And)
-    out = []
-    for i, g in enumerate(conjs):
-        a = _anchor(g)
-        if a is None:
-            continue
-        canonical = f
-        if isinstance(g, FallEdge):
-            body = _replace_nth(f.child, And, i, RiseEdge(a))
-            canonical = Eventually(body)
-        b, c = _split(conjs[:i] + conjs[i + 1 :], True)
-        out.append((canonical, (a, build_and(b), build_and(c))))
-    return out
+    return [
+        (Eventually(body), (a, *map(build_and, _split(rest, True))))
+        for body, a, rest in _anchors(f.child, And)
+    ]
 
 
 def _always_candidates(f: Always):
@@ -291,22 +296,12 @@ def _always_candidates(f: Always):
     if not isinstance(f.child, Implies):
         return []
     ante, cons = f.child.left, f.child.right
-    conjs = spine(ante, And)
-    b_dis, c_dis = _split(spine(cons, Or), False)
-    out = []
-    for i, g in enumerate(conjs):
-        a = _anchor(g)
-        if a is None:
-            continue
-        canonical = f
-        if isinstance(g, FallEdge):
-            ante2 = _replace_nth(ante, And, i, RiseEdge(a))
-            canonical = Always(Implies(ante2, cons))
-        rest = [_negate(c) for c in conjs[:i] + conjs[i + 1 :]]
-        b, c = _split(rest, False)
-        pieces = (a, build_or(b + b_dis), build_or(c + c_dis))
-        out.append((canonical, pieces))
-    return out
+    disjs = spine(cons, Or)
+    return [
+        (Always(Implies(ante2, cons)),
+         (a, *map(build_or, _split([*map(_negate, rest), *disjs], False))))
+        for ante2, a, rest in _anchors(ante, And)
+    ]
 
 
 def _until_candidates(f: Until):
@@ -317,32 +312,17 @@ def _until_candidates(f: Until):
     conjunct only when it also has next-parts.  Absent pieces fill with
     the neutral constants.
     """
-    left_disjs = spine(f.left, Or)
-    lefts = []
-    for i, g in enumerate(left_disjs):
-        a = _anchor(g.child) if isinstance(g, Not) else None
-        if a is None:
-            continue
-        left2 = f.left
-        if isinstance(g.child, FallEdge):
-            left2 = _replace_nth(f.left, Or, i, Not(RiseEdge(a)))
-        b, c = _split(left_disjs[:i] + left_disjs[i + 1 :], False)
-        lefts.append((left2, a, build_or(b), build_or(c)))
-    right_conjs = spine(f.right, And)
-    anchors = [
-        (j, d) for j, g in enumerate(right_conjs)
-        if (d := _anchor(g)) is not None
+    lefts = [
+        (left2, a, *map(build_or, _split(rest, False)))
+        for left2, a, rest in _anchors(f.left, Or, negated=True)
     ]
-    rights = []
-    for j, d in [*anchors, (None, None)]:
-        e, fp = _split([g for k, g in enumerate(right_conjs) if k != j], True)
-        if d is None and e:
-            continue  # a next-part on the right needs the edge anchor
-        right2 = f.right
-        if j is not None and isinstance(right_conjs[j], FallEdge):
-            right2 = _replace_nth(f.right, And, j, RiseEdge(d))
-        d = ConstTrue() if d is None else d
-        rights.append((right2, d, build_and(e), build_and(fp)))
+    rights = [
+        (right2, d, *map(build_and, _split(rest, True)))
+        for right2, d, rest in _anchors(f.right, And)
+    ]
+    e, fp = _split(spine(f.right, And), True)
+    if not e:  # a next-part on the right needs the edge anchor
+        rights.append((f.right, ConstTrue(), ConstTrue(), build_and(fp)))
     return [
         (Until(left2, right2), (a, b, c, d, e, fp))
         for left2, a, b, c in lefts
@@ -355,17 +335,12 @@ def _thm_main_candidates(f: Eventually):
     conjs = spine(f.child, And)
     out = []
     for i, c in enumerate(conjs):
-        if not isinstance(c, Not):
+        if not isinstance(c, Not) or Next(c.child) not in conjs:
             continue
-        a = c.child
-        rest = conjs[:i] + conjs[i + 1 :]
-        if Next(a) not in rest:
-            continue
-        j = rest.index(Next(a))
-        others = rest[:j] + rest[j + 1 :]
-        if not all(isinstance(o, Next) for o in others):
-            continue
-        out.append((f, (a, build_and([o.child for o in others]))))
+        others = conjs[:i] + conjs[i + 1 :]
+        others.remove(Next(c.child))
+        if all(isinstance(o, Next) for o in others):
+            out.append((f, (c.child, build_and([o.child for o in others]))))
     return out
 
 
@@ -523,14 +498,17 @@ def proof_from_doc(doc: dict) -> ProofTree:
         order, todo = [], [doc]
         while todo:
             d = todo.pop()
-            order.append((d, Rule(d["rule"]), parse(d["conclusion"]),
-                          list(d["premises"])))
-            todo += reversed(order[-1][3])
+            rule, premises, note = Rule(d["rule"]), d["premises"], d.get("note")
+            if not isinstance(premises, list):
+                raise TypeError(f"premises is not a list: {premises!r}")
+            if "note" in d and not isinstance(note, str):
+                raise TypeError(f"note is not a string: {note!r}")
+            order.append((d, rule, parse(d["conclusion"]), premises, note))
+            todo += reversed(premises)
         built = {}
-        for d, rule, conclusion, premises in reversed(order):
+        for d, rule, conclusion, premises, note in reversed(order):
             built[id(d)] = ProofTree(
-                rule, conclusion, tuple(built[id(q)] for q in premises),
-                d.get("note"),
+                rule, conclusion, tuple(built[id(q)] for q in premises), note
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed proof document: {exc}") from None
@@ -578,15 +556,11 @@ def check_proof(p: ProofTree) -> bool:
     return all(_check_node(q) for q in _proof_nodes(p))
 
 
-def _premise_formulas(p: ProofTree) -> tuple[Formula, ...]:
-    return tuple(q.conclusion for q in p.premises)
-
-
 def _check_node(p: ProofTree) -> bool:
     if not isinstance(p.rule, Rule):
         return False  # a plain string equal to a rule value is no label
     f = p.conclusion
-    got = _premise_formulas(p)
+    got = tuple(q.conclusion for q in p.premises)
     spec = _RULES.get(p.rule)
     if spec is not None:
         node, candidates, _ = spec

@@ -3,10 +3,10 @@
 Exit codes are script-friendly: 0 for a positive result (closed, true,
 no counterexample, all templates closed), 1 for a valid negative result
 (unknown verdict, false, counterexample found, a template not proved),
-2 for usage or input errors (including formulas nested too deeply and
-search bounds over the size budget), 3 for an internal error, reported
-as one line on stderr without a traceback.  Structured output goes to
-stdout, diagnostics to stderr.
+2 for usage or input errors (including formulas or JSON documents nested
+too deeply and search bounds over the size budget), 3 for an internal
+error, reported as one line on stderr without a traceback.  Structured
+output goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations

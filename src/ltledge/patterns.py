@@ -155,6 +155,8 @@ class Catalog:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"catalog document is not valid JSON: {exc}")
+        except RecursionError:
+            raise ValueError("catalog document is nested too deeply to read")
         if not isinstance(doc, list):
             raise ValueError("catalog document must be a list of entries")
         added: dict[str, PatternTemplate] = {}

@@ -204,7 +204,11 @@ def trace_from_doc(doc: dict) -> LassoTrace:
 
 def load_trace(text: str) -> LassoTrace:
     """Parse a JSON trace document."""
-    return trace_from_doc(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("trace document is nested too deeply to read")
+    return trace_from_doc(doc)
 
 
 def dump_trace(t: LassoTrace) -> str:

@@ -22,12 +22,15 @@ from ltledge.analyzer import (
     proof_to_doc,
     render_proof,
 )
-from ltledge.analyzer import _analyze
+from ltledge.analyzer import _analyze, _proof_nodes
 from ltledge.formula import Atom, Next, RiseEdge
 from ltledge.patterns import catalog
 from ltledge.syntax import parse, render
 
 GOLDEN = Path(__file__).with_name("analyze_golden.json")
+FALL_ANCHORS = json.loads(
+    Path(__file__).with_name("fall_anchor_golden.json").read_text()
+)["cases"]
 
 
 def root_rule(text: str) -> Rule:
@@ -162,6 +165,16 @@ def test_proof_document_round_trip():
     assert parsed == doc
 
 
+@pytest.mark.parametrize("field,value", [
+    ("note", 5), ("note", None), ("premises", "ab"),
+])
+def test_proof_document_field_types_are_checked(field, value):
+    doc = proof_to_doc(analyze(parse("F(up a & X b)")).proof)
+    doc["premises"][0][field] = value
+    with pytest.raises(ValueError, match=f"^malformed proof document: {field}"):
+        proof_from_doc(doc)
+
+
 def test_render_proof_text_lists_premises_after_their_uses():
     verdict = analyze(parse("F(up a & X b)"))
     lines = render_proof(verdict.proof, format="text").splitlines()
@@ -230,6 +243,32 @@ def test_analyze_reproduces_the_golden_corpus():
             seen.add(node["rule"])
             stack.extend(node["premises"])
     assert seen == {r.value for r in Rule}
+
+
+def _collapse_edge_dual(p: ProofTree) -> ProofTree:
+    """``p`` with its EDGE-DUAL node replaced by the schema node under it,
+    concluding the fall-edge form the EDGE-DUAL node concluded."""
+    if p.rule is Rule.EDGE_DUAL:
+        return dataclasses.replace(p.premises[0], conclusion=p.conclusion)
+    return dataclasses.replace(
+        p, premises=tuple(_collapse_edge_dual(q) for q in p.premises)
+    )
+
+
+@pytest.mark.parametrize(
+    "case", FALL_ANCHORS, ids=[case["formula"] for case in FALL_ANCHORS]
+)
+def test_fall_edge_anchors_prove_through_edge_dual(case):
+    # One fall-edge anchor at each site the schema rules read one: the F
+    # body, the G antecedent, the until left (negated) and right chains.
+    verdict = analyze(parse(case["formula"]))
+    assert _verdict_doc(verdict) == {"proof": case["proof"]}
+    assert check_proof(verdict.proof)
+    # A schema conclusion must be canonical: the fall edge is accepted
+    # only behind the EDGE-DUAL node that reads it as a rise.
+    collapsed = _collapse_edge_dual(verdict.proof)
+    assert Rule.EDGE_DUAL not in {q.rule for q in _proof_nodes(collapsed)}
+    assert not check_proof(collapsed)
 
 
 def _relabelings(p: ProofTree):

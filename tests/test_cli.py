@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -234,6 +236,20 @@ def test_too_deep_nesting_is_a_usage_error(run):
     assert "nested deeper than 100 levels" in err
 
 
+@pytest.mark.parametrize("argv,document,text", [
+    (("eval", "a"), "trace", '{"atoms": ["a"], "stem": '
+     + "[" * 50_000 + "]" * 50_000 + ', "loop": [[1]]}'),
+    (("pattern", "list", "--user"), "catalog", "[" * 100_000 + "]" * 100_000),
+], ids=["trace", "catalog"])
+def test_json_nested_too_deeply_is_a_usage_error(run, tmp_path, argv,
+                                                 document, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(*argv, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {document} document is nested too deeply to read\n"
+
+
 def test_search_over_the_size_budget_is_a_usage_error(run):
     code, out, err = run("falsify", "a & b & c", "--stem-max", "12")
     assert (code, out) == (2, "")
@@ -330,3 +346,27 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "Closed\n"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_command_lines() -> list[str]:
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("ltledge ")]
+
+
+@pytest.mark.parametrize("line", _readme_command_lines(),
+                         ids=lambda line: line.split("#")[0].strip())
+def test_readme_command_lines_run(run, tmp_path, monkeypatch, line):
+    # The lines read trace.json, the example trace the README gives.
+    trace = re.search(r"Trace files are JSON:\s*`([^`]+)`", README.read_text())
+    (tmp_path / "trace.json").write_text(trace.group(1))
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(*shlex.split(line, comments=True)[1:])
+    annotated = re.search(r"#.*\bexit (\d)", line)
+    if annotated:
+        assert code == int(annotated.group(1)), err
+    else:
+        assert code in (0, 1), err
