@@ -10,7 +10,9 @@ three schema rules discharge specific shapes in which edges neutralize
 the ``Next`` operators (an eventually-rise, an always-rise-implies, and
 an until form), and a fourth the raw ``F(!a & X a & X B)`` shape; plus
 bookkeeping rules for edge dualities and the logical rewrites used to
-reach those shapes.
+reach those shapes.  ``analyze`` first puts the formula in the normal
+form of ``normalize``: one bottom-up rewrite pass, which also folds
+spelled-out edges into ``up``/``down`` and expands ``edge``.
 
 One table, ``_RULES``, maps each derivation rule to its conclusion node
 type, its candidate generator and its piece names (``"ABC"`` and so on;
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -52,11 +55,9 @@ from .formula import (
     build_and,
     build_or,
     children_of,
-    expand_any_edges,
     map_spine,
     normalize_edge_negations,
     postorder,
-    resugar_edges,
     rewrite_logic,
     spine,
 )
@@ -107,24 +108,9 @@ MAX_PROOF_DEPTH = 400
 
 
 def normalize(f: Formula) -> Formula:
-    """Preprocessing pipeline: resugar edges, rewrite, expand any-edges.
-
-    Repeated until a round changes nothing.  After a round that expanded
-    no any-edge, ``f`` is a fixpoint of ``rewrite_logic`` and of the
-    expansion (it is ``settled``), so only resugaring can change it.
-    """
-    settled = False
-    for _ in range(50):
-        resugared = resugar_edges(f)
-        if settled and resugared is f:
-            return f
-        rewritten = rewrite_logic(resugared)
-        g = expand_any_edges(rewritten)
-        if g is f:
-            return f
-        settled = g is rewritten
-        f = g
-    raise RuntimeError("normalization did not reach a fixpoint")
+    """The normal form the prover works on: :func:`rewrite_logic`, one
+    bottom-up pass that also resugars and expands edges."""
+    return rewrite_logic(f)
 
 
 def analyze(f: Formula) -> Verdict:
@@ -407,10 +393,7 @@ def _fallback_rewrite(f: Formula) -> Formula | None:
     terms = _dnf_terms(_nnf(body))
     if terms is None:
         return None
-    parts = [
-        normalize_edge_negations(resugar_edges(build_and(term)))
-        for term in terms
-    ]
+    parts = [normalize(build_and(term)) for term in terms]
     spread = build_or([Eventually(p) for p in parts])
     rewritten = Not(spread) if negated else spread
     if rewritten == f or (len(parts) == 1 and parts[0] == f.child):
@@ -500,9 +483,10 @@ def proof_from_doc(doc: dict) -> ProofTree:
             d = todo.pop()
             rule, premises, note = Rule(d["rule"]), d["premises"], d.get("note")
             if not isinstance(premises, list):
-                raise TypeError(f"premises is not a list: {premises!r}")
+                raise TypeError("premises is not a list: "
+                                f"{reprlib.repr(premises)}")
             if "note" in d and not isinstance(note, str):
-                raise TypeError(f"note is not a string: {note!r}")
+                raise TypeError(f"note is not a string: {reprlib.repr(note)}")
             order.append((d, rule, parse(d["conclusion"]), premises, note))
             todo += reversed(premises)
         built = {}

@@ -48,6 +48,7 @@ and unroll depths whose candidates can rank before its input.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -510,9 +511,9 @@ def cex_from_doc(doc: dict) -> Counterexample:
         raise ValueError(f"malformed counterexample document: {exc}") from None
     if isinstance(index, bool) or not isinstance(index, int):
         raise ValueError("malformed counterexample document: stutter_index "
-                         f"must be an integer, not {index!r}")
+                         f"must be an integer, not {reprlib.repr(index)}")
     for name, value in (("value_before", before), ("value_after", after)):
         if not isinstance(value, (bool, int)) or value not in (0, 1):
             raise ValueError(f"malformed counterexample document: {name} "
-                             f"must be a boolean, not {value!r}")
+                             f"must be a boolean, not {reprlib.repr(value)}")
     return Counterexample(formula, trace, index, bool(before), bool(after))

@@ -3,8 +3,10 @@
 Edge operators describe change between adjacent states: ``RiseEdge(a)``
 holds where ``a`` is false now and true next, ``FallEdge(a)`` where it is
 true now and false next, and ``AnyEdge(a)`` where either happens.  They
-are definable from negation, conjunction and ``Next``; the helpers below
-convert between the sugared and desugared forms.
+are definable from negation, conjunction and ``Next``: :func:`desugar_edges`
+spells them out, and :func:`rewrite_logic`, the normal form closure
+analysis works on, folds spelled-out edges back in while it rewrites,
+in one bottom-up walk.
 
 Nodes are interned (hash-consed): constructing a node equal to a live
 one returns that node, so ``==`` and ``hash`` are the identity's, O(1)
@@ -259,17 +261,6 @@ def desugar_edges(f: Formula) -> Formula:
     return transform_bottom_up(f, step)
 
 
-def expand_any_edges(f: Formula) -> Formula:
-    """Replace ``AnyEdge(a)`` by ``RiseEdge(a) | FallEdge(a)`` throughout."""
-
-    def step(g: Formula) -> Formula:
-        if isinstance(g, AnyEdge):
-            return Or(RiseEdge(g.child), FallEdge(g.child))
-        return g
-
-    return transform_bottom_up(f, step)
-
-
 def build_and(items: list[Formula]) -> Formula:
     """Right-nested conjunction of ``items`` (empty list gives true)."""
     return _build(And, items) if items else ConstTrue()
@@ -310,31 +301,6 @@ def _find_edge_pair(items: list[Formula]):
     return None
 
 
-def resugar_edges(f: Formula) -> Formula:
-    """Recover edge operators from conjunctions that spell them out.
-
-    Inside each conjunction, a pair of conjuncts ``!a`` and ``X a`` is
-    folded into ``RiseEdge(a)`` and a pair ``a`` and ``X !a`` into
-    ``FallEdge(a)``, repeatedly, scanning pairs left to right (rises
-    first).  The fold replaces the earlier conjunct and drops the later
-    one, so conjunct order is otherwise preserved.  A whole ``&`` chain
-    is one conjunction, whose conjuncts are resugared first.
-    """
-    done: dict[Formula, Formula] = {}
-    for g in postorder(f, lambda g: spine(g, And) if type(g) is And
-                       else g._kids):
-        if type(g) is not And:
-            done[g] = rebuild(g, tuple(map(done.__getitem__, g._kids)))
-            continue
-        items = [done[c] for c in spine(g, And)]
-        while (hit := _find_edge_pair(items)) is not None:
-            i, j, edge = hit
-            items[i] = edge
-            del items[j]
-        done[g] = build_and(items)
-    return done[f]
-
-
 def _drop_negation(g: Formula) -> Formula:
     """One negation-removing rewrite at the root of ``g``, or ``g`` itself.
 
@@ -368,32 +334,53 @@ def normalize_edge_negations(f: Formula) -> Formula:
     return transform_bottom_up(f, step)
 
 
-def _rewrite_step(g: Formula) -> Formula:
-    """Normal form of ``g`` under the local simplifications.
+def _conj(items: list[Formula]) -> Formula:
+    """Normal form of the conjunction of the normal ``items``.
 
-    The children of ``g`` must already be normal; every node a rewrite
-    builds is normalized here before it is returned, so one bottom-up
+    The conjuncts are the leaves of the items' ``&`` chains.  A pair of
+    conjuncts ``!a`` and ``X a`` is folded into ``RiseEdge(a)`` and a
+    pair ``a`` and ``X !a`` into ``FallEdge(a)``, repeatedly, scanning
+    pairs left to right (rises first).  The fold replaces the earlier
+    conjunct and drops the later one, so conjunct order is otherwise
+    preserved; the chain is rebuilt right-nested.
+    """
+    items = [c for g in items for c in spine(g, And)]
+    while (hit := _find_edge_pair(items)) is not None:
+        i, j, edge = hit
+        items[i] = _rewrite_step(edge)
+        del items[j]
+    return build_and(items)
+
+
+def _rewrite_step(g: Formula) -> Formula:
+    """Normal form of ``g``, whose children are normal.
+
+    Every node a rewrite builds is normalized here before it is returned,
+    and every conjunction goes through :func:`_conj`, so one bottom-up
     pass reaches the fixpoint.  A distribution maps the leaves of the
     whole ``&`` or ``|`` chain under the operator at once, so it does
     not recurse on the chain's length.
     """
     h = _drop_negation(g)
     if h is not g:
-        return h
+        return _rewrite_step(h)  # ``edge !x`` is ``edge x``, expanded next
     step = _rewrite_step
+    if isinstance(g, AnyEdge):
+        return Or(RiseEdge(g.child), FallEdge(g.child))
     if isinstance(g, Always):
         body = g.child
         if isinstance(body, And):
-            return map_spine(body, And, lambda x: step(Always(x)))
+            return _conj([step(Always(x)) for x in spine(body, And)])
         if isinstance(body, Not) and isinstance(body.child, Or):
-            return map_spine(body.child, Or,
-                             lambda x: step(Always(step(Not(x)))), And)
+            return _conj([step(Always(step(Not(x))))
+                          for x in spine(body.child, Or)])
         if isinstance(body, Implies):
             if isinstance(body.right, And):
-                return map_spine(body.right, And,
-                                 lambda x: step(Always(Implies(body.left, x))))
+                return _conj([step(Always(Implies(body.left, x)))
+                              for x in spine(body.right, And)])
             if isinstance(body.right, Not):
-                return Not(step(Eventually(And(body.left, body.right.child))))
+                both = _conj([body.left, body.right.child])
+                return Not(step(Eventually(both)))
     if isinstance(g, Eventually):
         body = g.child
         if isinstance(body, Or):
@@ -405,13 +392,24 @@ def _rewrite_step(g: Formula) -> Formula:
 
 
 def rewrite_logic(f: Formula) -> Formula:
-    """Evaluation-preserving simplification used before closure analysis.
+    """Evaluation-preserving normal form used before closure analysis.
 
-    Distributes ``Always`` over conjunction and ``Eventually`` over
-    disjunction (also through a negated disjunction or conjunction),
-    splits an implication with a conjunctive consequent, turns
-    ``G(a -> !b)`` into ``!F(a & b)``, removes double negation and
-    normalizes negated edge arguments.  The result is a fixpoint: no
-    rewrite applies anywhere in it.
+    Recovers edge operators from conjunctions that spell them out (see
+    :func:`_conj`), expands ``AnyEdge(a)`` into ``RiseEdge(a) |
+    FallEdge(a)``, distributes ``Always`` over conjunction and
+    ``Eventually`` over disjunction (also through a negated disjunction
+    or conjunction), splits an implication with a conjunctive consequent,
+    turns ``G(a -> !b)`` into ``!F(a & b)``, removes double negation and
+    normalizes negated edge arguments.  One bottom-up walk, which takes
+    a whole ``&`` chain as one conjunction after its conjuncts; the
+    result is a fixpoint: no rewrite applies anywhere in it.
     """
-    return transform_bottom_up(f, _rewrite_step)
+    done: dict[Formula, Formula] = {}
+    get = done.__getitem__
+    for g in postorder(f, lambda g: spine(g, And) if type(g) is And
+                       else g._kids):
+        if type(g) is And:
+            done[g] = _conj(list(map(get, spine(g, And))))
+        else:
+            done[g] = _rewrite_step(rebuild(g, tuple(map(get, g._kids))))
+    return done[f]

@@ -9,6 +9,7 @@ so quantifiers over the infinite future only need a bounded window.
 from __future__ import annotations
 
 import json
+import reprlib
 from collections.abc import Sequence, Sized
 from dataclasses import dataclass
 from functools import cached_property
@@ -179,7 +180,8 @@ def _doc_cells(rows, label: str, width: int) -> np.ndarray:
         return values.astype(bool)
     bad = next(v for row in rows for v in row
                if not isinstance(v, (bool, int)) or v not in (0, 1))
-    raise ValueError(f"'{label}' values must be booleans or 0/1, not {bad!r}")
+    raise ValueError(f"'{label}' values must be booleans or 0/1, "
+                     f"not {reprlib.repr(bad)}")
 
 
 def trace_from_doc(doc: dict) -> LassoTrace:

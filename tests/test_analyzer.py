@@ -175,6 +175,18 @@ def test_proof_document_field_types_are_checked(field, value):
         proof_from_doc(doc)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("note", [0] * 200_000), ("premises", "x" * 200_000),
+], ids=["note", "premises"])
+def test_proof_document_messages_are_bounded(field, value):
+    doc = proof_to_doc(analyze(parse("F(up a & X b)")).proof)
+    doc["premises"][0][field] = value
+    pattern = f"^malformed proof document: {field}"
+    with pytest.raises(ValueError, match=pattern) as info:
+        proof_from_doc(doc)
+    assert len(str(info.value)) < 200
+
+
 def test_render_proof_text_lists_premises_after_their_uses():
     verdict = analyze(parse("F(up a & X b)"))
     lines = render_proof(verdict.proof, format="text").splitlines()

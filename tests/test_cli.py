@@ -230,6 +230,16 @@ def test_trace_values_other_than_booleans_or_0_1_are_usage_errors(
     assert err == f"error: 'stem' values must be booleans or 0/1, not {shown}\n"
 
 
+def test_a_huge_bad_trace_value_gives_one_short_error_line(run, tmp_path):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({"atoms": ["a"], "stem": [[[0] * 200_000]],
+                                "loop": [[0]]}))
+    code, out, err = run("eval", "a", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'stem' values must be booleans or 0/1, not ")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 def test_too_deep_nesting_is_a_usage_error(run):
     code, out, err = run("analyze", "!" * 2000 + "a")
     assert (code, out) == (2, "")
@@ -370,3 +380,15 @@ def test_readme_command_lines_run(run, tmp_path, monkeypatch, line):
         assert code == int(annotated.group(1)), err
     else:
         assert code in (0, 1), err
+
+
+def test_readme_library_tour_prints_its_robot_line(capsys):
+    section = README.read_text().split("\n## Library tour\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    # the block ends by printing the instantiated robot formula, shown
+    # in the comment below that print
+    comment = block.rstrip().splitlines()[-1]
+    assert comment.startswith("# G(up mgn & F down mgn -> ")
+    assert printed[-1] == comment[2:]

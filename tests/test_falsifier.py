@@ -266,6 +266,16 @@ def test_counterexample_document_field_types_are_checked(field, value):
         cex_from_doc(doc)
 
 
+@pytest.mark.parametrize("field", ["stutter_index", "value_before",
+                                   "value_after"])
+def test_counterexample_document_messages_are_bounded(field):
+    doc = cex_to_doc(falsify(parse("X a")))
+    doc[field] = [0] * 200_000
+    with pytest.raises(ValueError, match=f"^malformed .*: {field} ") as info:
+        cex_from_doc(doc)
+    assert len(str(info.value)) < 200
+
+
 def test_counterexample_document_missing_field():
     doc = cex_to_doc(falsify(parse("X a")))
     del doc["value_after"]

@@ -44,10 +44,8 @@ from ltledge.formula import (
     build_or,
     children_of,
     desugar_edges,
-    expand_any_edges,
     normalize_edge_negations,
     rebuild,
-    resugar_edges,
     rewrite_logic,
     spine,
     subformulas,
@@ -150,16 +148,16 @@ def test_desugar_edges_expands_all_three_operators():
     assert got == parse("(!p & X p) | (p & X !p) | ((!p & X p) | (p & X !p))")
 
 
-def test_expand_any_edges_leaves_rise_and_fall_alone():
-    got = expand_any_edges(parse("edge p & up q"))
+def test_normalize_expands_any_edges_and_leaves_rise_and_fall_alone():
+    got = normalize(parse("edge p & up q"))
     assert got == parse("(up p | down p) & up q")
-    assert expand_any_edges(parse("up q")) == RiseEdge(Atom("q"))
+    assert normalize(parse("up q")) == RiseEdge(Atom("q"))
 
 
-def test_resugar_edges_recognizes_both_definitions():
-    assert resugar_edges(parse("!p & X p")) == RiseEdge(Atom("p"))
-    assert resugar_edges(parse("p & X !p")) == FallEdge(Atom("p"))
-    assert resugar_edges(parse("!p & X q")) == parse("!p & X q")
+def test_normalize_resugars_both_edge_definitions():
+    assert normalize(parse("!p & X p")) == RiseEdge(Atom("p"))
+    assert normalize(parse("p & X !p")) == FallEdge(Atom("p"))
+    assert normalize(parse("!p & X q")) == parse("!p & X q")
 
 
 def test_normalize_edge_negations_applies_dualities():
@@ -189,10 +187,30 @@ def test_rewrite_logic_distributes_temporal_over_junctions():
 
 def test_rewrite_logic_reaches_its_fixpoint_in_one_pass():
     # each distribution step re-normalizes the nodes it builds, so a wide
-    # conjunction under G needs no pass per operand
+    # conjunction under G needs no pass per operand; the result is one
+    # right-nested chain, like every conjunction of the normal form
     names = [f"a{i}" for i in range(300)]
     f = parse("G(" + " & ".join(names) + ")")
-    assert rewrite_logic(f) == parse(" & ".join(f"G {n}" for n in names))
+    assert rewrite_logic(f) == build_and([Always(Atom(n)) for n in names])
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("G(!p -> !X p)", "!F up p"),
+    ("G(!p & q -> !X p)", "!F(up p & q)"),
+    ("G(!edge p)", "G !up p & G !down p"),
+    ("F(edge p)", "F up p | F down p"),
+    ("!G(!p -> !X p) & X G(!p -> !X p)", "down F up p"),
+    ("G(!edge !p & (q | false) U (q -> p))",
+     "G !up p & (G !down p & G((q | false) U (q -> p)))"),
+    ("G((a & b) & c)", "G a & (G b & G c)"),
+    ("up !!p & X !!q", "up p & X q"),
+    ("F !(!p & X p & q)", "F !up p | F !q"),
+    ("G(x -> !(!p & X p))", "!F(x & up p)"),
+])
+def test_normalize_reaches_forms_that_chain_several_rewrites(text, expected):
+    # each needs a rewrite that exposes another: a fold under a
+    # distribution, an expansion before one, a double negation before a fold
+    assert render(normalize(parse(text))) == expected
 
 
 @settings(max_examples=200)

@@ -178,6 +178,15 @@ def test_trace_values_must_be_booleans_or_0_1(field, value):
         trace_from_doc(doc)
 
 
+@pytest.mark.parametrize("value", [[0] * 200_000, "1" * 200_000],
+                         ids=["list", "string"])
+def test_bad_trace_value_message_is_bounded(value):
+    doc = {"atoms": ["a"], "stem": [[value]], "loop": [[1]]}
+    with pytest.raises(ValueError, match="^'stem' values must be") as info:
+        trace_from_doc(doc)
+    assert len(str(info.value)) < 200
+
+
 @pytest.mark.parametrize("doc", [
     {"atoms": ["a"], "stem": [[1]], "loop": [1]},
     {"atoms": ["a"], "stem": "10", "loop": [[1]]},
