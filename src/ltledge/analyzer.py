@@ -481,7 +481,12 @@ def proof_from_doc(doc: dict) -> ProofTree:
         order, todo = [], [doc]
         while todo:
             d = todo.pop()
-            rule, premises, note = Rule(d["rule"]), d["premises"], d.get("note")
+            try:
+                rule = Rule(d["rule"])
+            except ValueError:
+                raise ValueError("rule is not a known rule: "
+                                 f"{reprlib.repr(d['rule'])}") from None
+            premises, note = d["premises"], d.get("note")
             if not isinstance(premises, list):
                 raise TypeError("premises is not a list: "
                                 f"{reprlib.repr(premises)}")

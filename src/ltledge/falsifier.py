@@ -44,6 +44,34 @@ nodes read only the letter and their children, and ``F``/``G``/``U``
 satisfy ``R(a, b, R(a, b, y)) = R(a, b, y)``), so no stutter start
 diverges.  And :func:`minimize` searches only the loop lengths, stems
 and unroll depths whose candidates can rank before its input.
+
+The program searched is the formula's fold (:func:`_fold`), so the
+first rule also skips formulas whose ``X`` and edge nodes fold away,
+such as ``X(q | !q)``.  The fold applies laws that hold at every
+position of every word, bottom-up, and folds again any node a law
+builds (``c`` is a constant, ``a`` and ``b`` any operands, and a
+"same" operand is the same interned node):
+
+* ``!true`` is false, ``!false`` true and ``!!a`` is ``a``;
+* in ``&`` and ``|`` an absorbing constant wins and a neutral one is
+  dropped; ``a & a`` and ``a | a`` are ``a``, ``a & !a`` is false and
+  ``a | !a`` true;
+* ``false -> a``, ``a -> true`` and ``a -> a`` are true, ``true -> a``
+  and ``!a -> a`` are ``a``, ``a -> false`` and ``a -> !a`` are ``!a``;
+* ``true <-> a`` is ``a``, ``false <-> a`` is ``!a`` (either side),
+  ``a <-> a`` is true and ``a <-> !a`` false;
+* ``X c``, ``F c`` and ``G c`` are ``c``, ``F F a`` is ``F a`` and
+  ``G G a`` is ``G a``; ``up c``, ``down c`` and ``edge c`` are false;
+* ``a U c`` is ``c``, ``false U b`` is ``b``, ``true U b`` is ``F b``
+  and ``a U a`` is ``a``.
+
+The folded program runs over the formula's own atoms, in their order,
+even where the fold drops one, so the search order and the traces are
+the same.  The size budget and the atom cap read the formula as
+written, and every counterexample is re-checked on it.  The fold is
+the falsifier's own: evaluation and closure analysis (``normalize``)
+do not use it, so a fold bug cannot make the prover and the search
+agree on a wrong verdict.
 """
 
 from __future__ import annotations
@@ -62,7 +90,26 @@ from .batch import (
     enumerate_states,
     step,
 )
-from .formula import Formula, atoms_of
+from .formula import (
+    Always,
+    And,
+    AnyEdge,
+    ConstFalse,
+    ConstTrue,
+    Eventually,
+    FallEdge,
+    Formula,
+    Iff,
+    Implies,
+    Next,
+    Not,
+    Or,
+    RiseEdge,
+    Until,
+    atoms_of,
+    subformulas,
+    transform_bottom_up,
+)
 from .semantics import (
     LassoTrace,
     eval_formula,
@@ -338,6 +385,57 @@ def _atoms_for(f: Formula, bounds: SearchBounds) -> tuple[str, ...]:
     return names
 
 
+_TRUE, _FALSE = ConstTrue(), ConstFalse()
+_NOT = {_TRUE: _FALSE, _FALSE: _TRUE}
+
+
+def _fold(f: Formula) -> Formula:
+    """``f`` after the constant and identity laws of the module
+    docstring, applied bottom-up; equal to ``f`` at every position of
+    every word."""
+    return transform_bottom_up(f, _fold_node)
+
+
+def _fold_node(g: Formula) -> Formula:
+    """One node whose children are folded, folded; so is a node a law
+    builds."""
+    kind = type(g)
+    if kind is Not:
+        a = g.child
+        return _NOT[a] if a in _NOT else a.child if type(a) is Not else g
+    if kind in (Next, Eventually, Always):
+        a = g.child
+        return a if a in _NOT or (kind is not Next and type(a) is kind) else g
+    if kind in (RiseEdge, FallEdge, AnyEdge):
+        return _FALSE if g.child in _NOT else g
+    if kind not in (And, Or, Implies, Iff, Until):
+        return g  # an atom or a constant
+    a, b = g.left, g.right
+    opposite = (type(a) is Not and a.child is b
+                or type(b) is Not and b.child is a)
+    if kind is And or kind is Or:
+        zero = _FALSE if kind is And else _TRUE
+        if a is zero or b is zero or opposite:
+            return zero
+        return a if b is _NOT[zero] or a is b else b if a is _NOT[zero] else g
+    if kind is Implies:
+        if a is _FALSE or b is _TRUE or a is b:
+            return _TRUE
+        if b is _FALSE:
+            return _fold_node(Not(a))
+        return b if a is _TRUE or opposite else g
+    if kind is Iff:
+        if a is b or opposite:
+            return _TRUE if a is b else _FALSE
+        for c, d in ((a, b), (b, a)):
+            if c in _NOT:
+                return d if c is _TRUE else _fold_node(Not(d))
+        return g
+    if b in _NOT or a is _FALSE or a is b:  # Until
+        return b
+    return _fold_node(Eventually(b)) if a is _TRUE else g
+
+
 def _loop_chunk(nodes: int, num_atoms: int, bounds: SearchBounds) -> int:
     """Loops per search block, for a program of ``nodes`` nodes.
 
@@ -422,8 +520,8 @@ def falsify(f: Formula,
     if bounds is None:
         bounds = SearchBounds()
     atom_names = _atoms_for(f, bounds)
-    program = compile_formula(f, atom_names)
-    _loop_chunk(len(program), len(atom_names), bounds)
+    _loop_chunk(len(subformulas(f)), len(atom_names), bounds)
+    program = compile_formula(_fold(f), atom_names)
     if not any(kind in _SUCCESSOR for kind, _, _ in program):
         return None  # next-free: closed under stuttering
     for loop_len, found in _search_blocks(program, len(atom_names), bounds):
@@ -469,8 +567,8 @@ def minimize(cex: Counterexample,
             or before == after):
         raise ValueError("not a valid counterexample for its formula")
     atom_names = _atoms_for(f, bounds)
-    program = compile_formula(f, atom_names)
-    _loop_chunk(len(program), len(atom_names), bounds)
+    _loop_chunk(len(subformulas(f)), len(atom_names), bounds)
+    program = compile_formula(_fold(f), atom_names)
     size = cex.trace.stem_len
     within = replace(bounds, max_stem=min(bounds.max_stem, size))
     best: tuple | None = None  # ((size key, visit order), loop_len, candidate)

@@ -18,6 +18,7 @@ instantiation warns about bindings the analyzer cannot prove.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,14 +88,15 @@ class PatternTemplate:
         for m in self.metavariables:
             if not (len(m) == 1 and m.isalpha() and m.isupper()):
                 raise ValueError(
-                    f"metavariable {m!r} must be a single uppercase letter"
+                    f"metavariable {reprlib.repr(m)} must be a single uppercase "
+                    "letter"
                 )
         allowed = {m.lower() for m in self.metavariables}
         stray = [a for a in atoms_of(self.body) if a not in allowed]
         if stray:
             raise ValueError(
-                f"template {self.ident}: body atoms {stray} are not "
-                f"metavariables"
+                f"template {reprlib.repr(self.ident)}: body atoms "
+                f"{reprlib.repr(stray)} are not metavariables"
             )
 
 
@@ -170,7 +172,7 @@ class Catalog:
             except KeyError as exc:
                 raise ValueError(f"catalog entry is missing field {exc}")
             notes = entry.get("notes", "")
-            name = repr(raw_id) if isinstance(raw_id, str) else f"#{n}"
+            name = reprlib.repr(raw_id) if isinstance(raw_id, str) else f"#{n}"
             for field, ok, kind in (
                 ("id", isinstance(raw_id, str), "a string"),
                 ("metavariables", isinstance(mvs, list)
@@ -185,9 +187,10 @@ class Catalog:
             try:
                 body = parse(body_text)
             except ParseError as exc:
-                raise ValueError(f"entry {raw_id!r}: {exc}") from None
+                raise ValueError(f"entry {name}: {exc}") from None
             if ident in self._entries or ident in added:
-                raise ValueError(f"duplicate pattern id {ident!r}")
+                raise ValueError("duplicate pattern id "
+                                 f"{reprlib.repr(ident)}")
             try:
                 added[ident] = PatternTemplate(
                     ident=ident,
@@ -199,7 +202,7 @@ class Catalog:
                     notes=notes,
                 )
             except ValueError as exc:
-                raise ValueError(f"entry {raw_id!r}: {exc}") from None
+                raise ValueError(f"entry {name}: {exc}") from None
         # Inserted only once every entry is checked: a rejected document
         # loads nothing.
         self._entries.update(added)

@@ -177,7 +177,8 @@ def test_proof_document_field_types_are_checked(field, value):
 
 @pytest.mark.parametrize("field,value", [
     ("note", [0] * 200_000), ("premises", "x" * 200_000),
-], ids=["note", "premises"])
+    ("rule", "x" * 300_000),
+], ids=["note", "premises", "rule"])
 def test_proof_document_messages_are_bounded(field, value):
     doc = proof_to_doc(analyze(parse("F(up a & X b)")).proof)
     doc["premises"][0][field] = value

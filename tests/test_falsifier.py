@@ -152,7 +152,10 @@ def test_next_free_programs_are_not_searched(monkeypatch):
         raise AssertionError("_search_blocks called")
 
     monkeypatch.setattr(falsifier, "_search_blocks", refuse)
-    for text in ("G a", "a U (b & F !c)", "true", "!(p <-> G F q)"):
+    for text in ("G a", "a U (b & F !c)", "true", "!(p <-> G F q)",
+                 # Every X and edge node folds away.
+                 "X true", "X(q | !q)", "edge(p | (q -> q))",
+                 "!((p -> p) | edge q)", "p U X(q | !q)"):
         assert falsify(parse(text)) is None, text
     # The bounds are still checked first.
     with pytest.raises(ValueError, match=r"max_stem=12\).*budget"):
@@ -161,6 +164,46 @@ def test_next_free_programs_are_not_searched(monkeypatch):
         falsify(parse("G a"), SearchBounds(max_stem=0, max_unroll=100000))
     with pytest.raises(ValueError, match="over the search cap"):
         falsify(parse("a & b & c & d"))
+    # A formula that folds away is checked as written: its 4 atoms, and
+    # its 65 nodes (the folded program is the one node true).
+    with pytest.raises(ValueError, match="over the search cap"):
+        falsify(parse("X(a | !a) & (b | !b) & (c -> c) & (d <-> d)"))
+    chain = " & ".join(("a", "b", "c") * 20)
+    with pytest.raises(ValueError, match=r"max_stem=6\).*x 9 positions x 65 "):
+        falsify(parse(f"X(({chain}) -> true)"), SearchBounds(max_stem=6))
+
+
+def test_the_fold_is_exact():
+    # The fold keeps the value at position 0 of every lasso of stem and
+    # loop up to 2 (labeled as eval_oracle does, a block of lassos of one
+    # shape per call), and the search over the folded program finds the
+    # same candidates as over the formula.
+    shapes = {}
+    for t in LASSOS:
+        shapes.setdefault((t.stem_len, t.loop_len), []).append(t)
+    blocks = [tuple(np.array([getattr(t, part) for t in ts], dtype=bool)
+                    .reshape(len(ts), -1, 2) for part in ("stem", "loop"))
+              for ts in shapes.values()]
+    rng = random.Random(41)
+    folded = searched = 0
+    for _ in range(2000):
+        f = gen_formula(rng, 4, ("p", "q"))
+        g = falsifier._fold(f)
+        if g is f:
+            continue
+        folded += 1
+        for stems, loops in blocks:
+            assert (label_block(f, ("p", "q"), stems, loops)
+                    == label_block(g, ("p", "q"), stems, loops)).all(), \
+                (render(f), render(g))
+        if searched < 300:
+            searched += 1
+            atom_names = atoms_of(f) or ("p",)
+            want, got = (list(_search_blocks(compile_formula(h, atom_names),
+                                             len(atom_names), SearchBounds()))
+                         for h in (f, g))
+            assert got == want, (render(f), render(g))
+    assert folded > 600 and searched == 300
 
 
 def test_next_free_programs_have_no_candidates():

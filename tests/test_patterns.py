@@ -152,6 +152,25 @@ def test_user_catalog_checks_field_types(entry, message):
     assert len(cat.ids()) == 20
 
 
+@pytest.mark.parametrize("mvs,body,message", [
+    (["p"], "F p", "metavariable 'p' must be"),
+    (["P"], "F q", "template 'user/x+[.]{3}x+': body atoms"),
+], ids=["metavariable", "body-atoms"])
+def test_user_catalog_messages_are_bounded(mvs, body, message):
+    # A huge id is shown shortened wherever a message names its entry.
+    cat = Catalog()
+    entry = {"id": "x" * 300_000, "metavariables": mvs, "body": body}
+    with pytest.raises(ValueError,
+                       match=f"^entry 'x+[.]{{3}}x+': {message}") as info:
+        cat.load_user(json.dumps([entry]))
+    assert len(str(info.value)) < 200
+    ok = json.dumps([{**entry, "metavariables": ["P"], "body": "F p"}])
+    cat.load_user(ok)
+    with pytest.raises(ValueError, match="^duplicate pattern id") as info:
+        cat.load_user(ok)
+    assert len(str(info.value)) < 200
+
+
 def test_rejected_user_document_loads_nothing():
     cat = Catalog()
     loaded = {"id": "c", "metavariables": ["P"], "body": "F p"}
