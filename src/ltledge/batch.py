@@ -5,11 +5,12 @@ Not part of the public API: the falsifier runs the compiled program and
 :func:`step` directly, and ``semantics.eval_formula`` /
 ``semantics.eval_oracle`` are one-row calls of the two routes.
 
-A formula is compiled once (:func:`compile_formula`) into a flat
-post-order program: one instruction ``(node class, slot, slot)`` per
-distinct subformula, children before parents and the root last, where
-the slots are the children's instruction numbers (an atom's first slot
-is its column in the atom tuple).  :func:`_root_rows` runs the program
+A formula is compiled once (:func:`compile_formula`, which keeps the
+most recent programs) into a flat post-order program: one instruction
+``(node class, slot, slot)`` per distinct subformula, children before
+parents and the root last, where the slots are the children's
+instruction numbers (an atom's first slot is its column in the atom
+tuple).  :func:`_root_rows` runs the program
 over a block of lassos and keeps every node's truth at every canonical
 position ``0 ..< stem + loop`` in one position-major tensor of shape
 (positions, nodes, lassos), so no call walks or hashes the formula tree.
@@ -113,12 +114,15 @@ def enumerate_states(num_atoms: int, length: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
 def compile_formula(f: Formula, atoms: tuple[str, ...]) -> Program:
     """Flat post-order program of ``f`` over the atom columns ``atoms``.
 
     One instruction per distinct subformula (nodes are interned, so equal
     subformulas are one node).  Raises KeyError for an atom not in
-    ``atoms``.
+    ``atoms``.  Formulas are interned and programs are tuples, so the
+    most recent programs are cached: the searches of one formula and
+    the evaluations that re-check their counterexamples compile it once.
     """
     column = {name: j for j, name in enumerate(atoms)}
     slots: dict[Formula, int] = {}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 
 from .analyzer import Closed, analyze, render_proof
@@ -171,7 +172,8 @@ def _parse_bindings(pairs: list[str]) -> dict:
     for item in pairs:
         name, sep, text = item.partition("=")
         if not sep:
-            raise ValueError(f"binding {item!r} is not of the form M=FORMULA")
+            raise ValueError(f"binding {reprlib.repr(item)} is not of the form "
+                             "M=FORMULA")
         binding[name.strip()] = parse(text)
     return binding
 

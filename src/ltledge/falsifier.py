@@ -35,6 +35,15 @@ The entries are held in groups no larger than the block's labels at
 all ``stem + loop`` positions would be.  Every candidate is re-checked
 on explicit traces by the scan route before it is returned.
 
+A search stops once its answer is settled.  Stem layers are built when
+a group first reaches them, and the stem bound is read before each
+layer.  :func:`falsify` wants only the first flip of the first block
+that has one, and the order is loop, stem length, stem, depth,
+position: a flip on the block's first loop at stem length ``s`` lowers
+the bound to ``s``, as no flip of a longer stem can come first.
+:func:`minimize` lowers its limits after each block to the best
+candidate so far, and returns its input itself when that is the best.
+
 Two exact rules skip searches that cannot find anything.  A program
 with no ``X`` or edge node (no node class in ``batch._SUCCESSOR``, the
 table :func:`batch.step` reads) is closed under stuttering, so
@@ -204,28 +213,23 @@ def _still_moved(program: Program, letter: np.ndarray, original: np.ndarray,
     return rows[moved], offsets[moved], vectors[:, moved]
 
 
-def _stem_layers(program: Program, roots: np.ndarray, states: np.ndarray,
-                 max_stem: int) -> list[tuple[np.ndarray, _Live]]:
-    """Per stem length ``s = 0 ..= max_stem``: the node vectors at
-    position 0 of every lasso of the block, and the live stutters of
-    position 0 (none at stem 0).
+def _stem_layer(program: Program, states: np.ndarray, n_loops: int,
+               vectors: np.ndarray, s: int) -> tuple[np.ndarray, _Live]:
+    """The stem layer of length ``s + 1`` from ``vectors``, the node
+    vectors at position 0 of the lassos of stem length ``s``: its own
+    vectors there, and the live stutters of its position 0.
 
-    ``roots`` holds the loops' own vectors and ``states`` the letters of
-    every state, one column each.  Lasso ``(x u, v)`` has ``(u, v)`` as
-    its suffix, so each layer is one :func:`step` per prepended state
-    ``x`` from the layer before.
+    ``states`` holds the letters of every state, one column each.  Lasso
+    ``(x u, v)`` has ``(u, v)`` as its suffix, so the layer is one
+    :func:`step` per prepended state ``x``.
     """
-    layers = [(roots, _no_stutters(roots))]
-    count, n_loops = states.shape[1], roots.shape[1]
-    for s in range(max_stem):
-        stems = count**s
-        letter = np.tile(np.repeat(states, stems, axis=1), n_loops)
-        tails = layers[-1][0].reshape(len(program), n_loops, 1, stems)
-        vectors = step(program, letter, np.repeat(tails, count, axis=2)
-                       .reshape(len(program), -1))
-        layers.append((vectors, _live(*_diverging(program, letter, vectors),
-                                      -s - 1)))
-    return layers
+    count = states.shape[1]
+    stems = count**s
+    letter = np.tile(np.repeat(states, stems, axis=1), n_loops)
+    tails = vectors.reshape(len(program), n_loops, 1, stems)
+    vectors = step(program, letter, np.repeat(tails, count, axis=2)
+                   .reshape(len(program), -1))
+    return vectors, _live(*_diverging(program, letter, vectors), -s - 1)
 
 
 def _prepend(program: Program, states: np.ndarray, stems: int,
@@ -285,7 +289,7 @@ def _loop_stutters(program: Program, loops: np.ndarray, labels: np.ndarray,
 
 
 def _flips(program: Program, loops: np.ndarray, max_stem: int,
-           max_unroll: int):
+           max_unroll: int, first_only: bool = False):
     """Yield ``(stem_len, rows, k, i, before)`` for the stutters that
     flip the root, per layer that has any: the stutter at position
     ``i[n]`` of the lasso of row ``rows[n]``, unrolled ``k[n]`` times,
@@ -300,18 +304,32 @@ def _flips(program: Program, loops: np.ndarray, max_stem: int,
     loop, the stem stutters (at most one per lasso and layer) ride with
     the first group, and each layer multiplies entries at most by the
     number of states, as it does rows.
+
+    Stem layers are built when a group first reaches them, and
+    ``max_stem`` is read before each layer.  With ``first_only``, a flip
+    on the block's first loop at stem length ``s`` lowers it to ``s``:
+    the search order is loop, stem length, stem, depth, position, so no
+    flip of a longer stem comes first.  The groups walk on, up to
+    stem ``s``, and the first flip is still among those yielded.
     """
     n_loops, loop_len, num_atoms = loops.shape
     labels = _root_rows(program, loops, 0, _label_temporal)
     states = enumerate_states(num_atoms, 1)[:, 0].T
-    layers = _stem_layers(program, labels[0], states, max_stem)
+    count = states.shape[1]
+    layers = [(labels[0], _no_stutters(labels[0]))]
     groups = _loop_stutters(program, loops, labels, max_unroll,
                             loop_len * n_loops)
     for g, live in enumerate(groups):
-        for s, (vectors, starts) in enumerate(layers):
+        for s in range(max_stem + 1):
+            if s > max_stem:
+                break
+            if s == len(layers):
+                layers.append(_stem_layer(program, states, n_loops,
+                                          layers[-1][0], s - 1))
+            vectors, starts = layers[s]
             if s:
-                live = _prepend(program, states, states.shape[1] ** (s - 1),
-                                vectors, live)
+                live = _prepend(program, states, count ** (s - 1), vectors,
+                                live)
                 if g == 0:
                     live = _joined(live, starts)
                 elif not live[0].size:
@@ -319,24 +337,31 @@ def _flips(program: Program, loops: np.ndarray, max_stem: int,
             rows, offsets, moved = live
             hit = moved[-1] != vectors[-1, rows]
             if hit.any():
-                offsets = offsets[hit]
+                rows, offsets = rows[hit], offsets[hit]
+                if first_only and rows.min() < count**s:
+                    max_stem = s
                 k = np.where(offsets < 0, 0, offsets // loop_len + 1)
-                yield s, rows[hit], k, offsets + s, ~moved[-1, hit]
+                yield s, rows, k, offsets + s, ~moved[-1, hit]
 
 
 def _search_unit(program: Program, loops: np.ndarray, first: int,
-                 max_stem: int, max_unroll: int) -> list[tuple]:
+                 max_stem: int, max_unroll: int,
+                 first_only: bool = False) -> list[tuple]:
     """Scan one block of the search space: every lasso whose loop is one
     of ``loops`` (loop indices ``first`` onwards), after every stem of
     up to ``max_stem`` states, unrolled up to ``max_unroll`` times.
 
     Returns candidate tuples ``(loop_idx, stem_len, stem_idx, k, i,
     before, after)``, at most one per (stem_len, k, i): the first in
-    enumeration order.  They are listed by (stem_len, k, i).
+    enumeration order.  They are listed by (stem_len, k, i).  With
+    ``first_only`` only their minimum, the block's first flip, is exact:
+    candidates of stems longer than a flip on the first loop may be
+    missing (see :func:`_flips`).
     """
     n_states = 1 << loops.shape[2]
     found = {}
-    for s, rows, k, i, before in _flips(program, loops, max_stem, max_unroll):
+    for s, rows, k, i, before in _flips(program, loops, max_stem, max_unroll,
+                                        first_only):
         # Within a layer the position names the stutter, and each
         # stutter's entries all live in one group.
         for ii in np.flatnonzero(np.bincount(i)).tolist():
@@ -350,28 +375,30 @@ def _search_unit(program: Program, loops: np.ndarray, first: int,
 
 
 def _search_blocks(program: Program, num_atoms: int, bounds: SearchBounds,
-                   beat: tuple[int, int] | None = None):
+                   beat: list[int] | None = None, first_only: bool = False):
     """Yield ``(loop_len, candidates)`` per search block, in enumeration
-    order.  With ``beat = (n, l0)``, the unrolled stem and the loop
+    order.  With ``beat = [n, l0]``, the unrolled stem and the loop
     length of a counterexample, only lassos that can rank before it are
     searched: their unrolled stem ``s + k * l`` is at most ``n``, and
-    less than ``n`` for loops longer than ``l0``.  The bounds are
+    less than ``n`` for loops longer than ``l0``.  ``beat`` is read
+    before each block, so the caller may lower it between blocks.
+    ``first_only`` is passed to :func:`_search_unit`.  The bounds are
     checked before anything is allocated.
     """
     chunk = _loop_chunk(len(program), num_atoms, bounds)
     for loop_len in range(1, bounds.max_loop + 1):
-        max_stem, max_unroll = bounds.max_stem, bounds.max_unroll
-        if beat is not None:
-            n, l0 = beat
-            limit = n if loop_len <= l0 else n - 1
-            if not limit:
-                continue  # a stutter needs an unrolled stem of 1 or more
-            max_stem = min(max_stem, limit)
-            max_unroll = min(max_unroll, limit // loop_len)
-        loops = enumerate_states(num_atoms, loop_len)
-        for first in range(0, loops.shape[0], chunk):
-            yield loop_len, _search_unit(program, loops[first:first + chunk],
-                                         first, max_stem, max_unroll)
+        for first in range(0, 1 << num_atoms * loop_len, chunk):
+            max_stem, max_unroll = bounds.max_stem, bounds.max_unroll
+            if beat is not None:
+                n, l0 = beat
+                limit = n if loop_len <= l0 else n - 1
+                if not limit:
+                    break  # a stutter needs an unrolled stem of 1 or more
+                max_stem = min(max_stem, limit)
+                max_unroll = min(max_unroll, limit // loop_len)
+            loops = enumerate_states(num_atoms, loop_len)[first:first + chunk]
+            yield loop_len, _search_unit(program, loops, first, max_stem,
+                                         max_unroll, first_only)
 
 
 def _atoms_for(f: Formula, bounds: SearchBounds) -> tuple[str, ...]:
@@ -495,15 +522,21 @@ def _over_budget(bounds: SearchBounds, name: str, needs: str,
     )
 
 
-def _reconstruct(f: Formula, atom_names: tuple[str, ...], loop_len: int,
-                 candidate: tuple) -> Counterexample:
-    loop_idx, stem_len, stem_idx, k, i, before, after = candidate
+def _candidate_trace(atom_names: tuple[str, ...], loop_len: int,
+                     candidate: tuple) -> LassoTrace:
+    """The unrolled lasso of a candidate, on which its stutter lies."""
+    loop_idx, stem_len, stem_idx, k = candidate[:4]
     stems = enumerate_states(len(atom_names), stem_len)
     loops = enumerate_states(len(atom_names), loop_len)
     stem = tuple(tuple(bool(v) for v in row) for row in stems[stem_idx])
     loop = tuple(tuple(bool(v) for v in row) for row in loops[loop_idx])
-    base_trace = LassoTrace(atom_names, stem, loop)
-    trace = unroll(base_trace, k)
+    return unroll(LassoTrace(atom_names, stem, loop), k)
+
+
+def _reconstruct(f: Formula, atom_names: tuple[str, ...], loop_len: int,
+                 candidate: tuple) -> Counterexample:
+    i, before, after = candidate[4:]
+    trace = _candidate_trace(atom_names, loop_len, candidate)
     got_before = eval_formula(f, trace)
     got_after = eval_formula(f, stutter_at(trace, i))
     if got_before != before or got_after != after or before == after:
@@ -524,7 +557,8 @@ def falsify(f: Formula,
     program = compile_formula(_fold(f), atom_names)
     if not any(kind in _SUCCESSOR for kind, _, _ in program):
         return None  # next-free: closed under stuttering
-    for loop_len, found in _search_blocks(program, len(atom_names), bounds):
+    for loop_len, found in _search_blocks(program, len(atom_names), bounds,
+                                          first_only=True):
         if found:
             return _reconstruct(f, atom_names, loop_len, min(found))
     return None
@@ -551,8 +585,11 @@ def minimize(cex: Counterexample,
     each loop length only stems up to that limit and depths up to the
     limit ``// l`` are searched, and a limit of 0 skips the loop length
     (a stutter needs an unrolled stem of at least 1): the cost grows
-    with the input's size, not with the bounds.  The bounds are still
-    checked whole, before the search is narrowed.
+    with the input's size, not with the bounds.  After each block the
+    best candidate so far takes the input's place in these limits.  The
+    bounds are still checked whole, before the search is narrowed.  If
+    the best candidate is the input itself (same trace, same stutter
+    position), the input is returned, checked on entry.
     """
     if bounds is None:
         bounds = SearchBounds()
@@ -571,19 +608,28 @@ def minimize(cex: Counterexample,
     program = compile_formula(_fold(f), atom_names)
     size = cex.trace.stem_len
     within = replace(bounds, max_stem=min(bounds.max_stem, size))
+    beat = [size, cex.trace.loop_len]
     best: tuple | None = None  # ((size key, visit order), loop_len, candidate)
     for loop_len, found in _search_blocks(program, len(atom_names), within,
-                                          (size, cex.trace.loop_len)):
+                                          beat):
         for candidate in found:
             loop_idx, stem_len, stem_idx, k, i, _, _ = candidate
             visit = (loop_len, loop_idx, stem_len, stem_idx, k, i)
             ranked = (_candidate_key(loop_len, candidate), visit)
             if best is None or ranked < best[0]:
                 best = (ranked, loop_len, candidate)
+        if best is not None:
+            beat[:] = best[0][0][:2]  # never above beat, as searched
     own_key = (size, cex.trace.loop_len, cex.stutter_index)
     if best is None or own_key < best[0][0]:
         return cex
-    return _reconstruct(f, atom_names, best[1], best[2])
+    _, loop_len, candidate = best
+    if (candidate[4:] == (cex.stutter_index, cex.value_before,
+                          cex.value_after)
+            and _candidate_trace(atom_names, loop_len, candidate)
+            == cex.trace):
+        return cex  # the input itself, checked above
+    return _reconstruct(f, atom_names, loop_len, candidate)
 
 
 def cex_to_doc(cex: Counterexample) -> dict:

@@ -141,7 +141,8 @@ class Catalog:
         try:
             return self._entries[ident]
         except KeyError:
-            raise ValueError(f"unknown pattern id {ident!r}") from None
+            raise ValueError(
+                f"unknown pattern id {reprlib.repr(ident)}") from None
 
     def templates(self) -> tuple[PatternTemplate, ...]:
         return tuple(self._entries.values())

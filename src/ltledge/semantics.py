@@ -118,7 +118,7 @@ def unroll(t: LassoTrace, k: int) -> LassoTrace:
 def _eval_one_row(f: Formula, t: LassoTrace, p: int,
                   temporal: _Temporal) -> bool:
     try:
-        program = compile_formula(f, t.atoms)
+        program = compile_formula(f, tuple(t.atoms))
     except KeyError as exc:
         raise UnknownAtomError(
             f"formula atom {exc.args[0]!r} is not among the trace atoms "

@@ -240,6 +240,18 @@ def test_a_huge_bad_trace_value_gives_one_short_error_line(run, tmp_path):
     assert err.count("\n") == 1 and len(err) < 200
 
 
+@pytest.mark.parametrize("argv,start", [
+    (("pattern", "show", "y" * 100_000), "error: unknown pattern id 'yyy"),
+    (("pattern", "instantiate", "existence/D/1", "--bind", "y" * 100_000),
+     "error: binding 'yyy"),
+], ids=["pattern-id", "binding"])
+def test_a_huge_bad_argument_gives_one_short_error_line(run, argv, start):
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(start)
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 def test_too_deep_nesting_is_a_usage_error(run):
     code, out, err = run("analyze", "!" * 2000 + "a")
     assert (code, out) == (2, "")

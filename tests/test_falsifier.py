@@ -25,7 +25,7 @@ from ltledge.falsifier import (
     _reconstruct,
     _search_blocks,
     _search_unit,
-    _stem_layers,
+    _stem_layer,
     cex_from_doc,
     cex_to_doc,
     falsify,
@@ -108,22 +108,36 @@ def test_minimize_rejects_a_stutter_index_outside_the_stem(index):
         minimize(cex_from_doc(doc))
 
 
+def _record_stem_layers(monkeypatch) -> list[int]:
+    """Record the stem length of each stem layer the search builds."""
+    built = []
+
+    def recording(program, states, n_loops, vectors, s):
+        built.append(s + 1)
+        return _stem_layer(program, states, n_loops, vectors, s)
+
+    monkeypatch.setattr(falsifier, "_stem_layer", recording)
+    return built
+
+
+def test_falsify_stops_at_a_first_flip_no_longer_stem_can_beat(monkeypatch):
+    built = _record_stem_layers(monkeypatch)
+    cex = falsify(parse("X a"))
+    # The flip of stem 1 on the first loop settles the search; the
+    # default bounds allow stems of 4.
+    assert built == [1]
+    assert (cex.trace.stem_len, cex.trace.loop_len) == (1, 1)
+
+
 def test_minimize_searches_only_stems_that_can_beat_its_input(monkeypatch):
     cex = falsify(parse("X a"))
     assert len(cex.trace.stem) == 1
-    longest = []
-
-    def recording(*args):
-        layers = _stem_layers(*args)
-        longest.append(len(layers) - 1)
-        return layers
-
-    monkeypatch.setattr(falsifier, "_stem_layers", recording)
+    built = _record_stem_layers(monkeypatch)
     small = minimize(cex)
-    # One block, of loop length 1, with stem layers of length 0 and 1
-    # only; the default bounds allow 4.  Longer loops cannot beat a
+    # One block, of loop length 1, whose deepest stem layer is of length
+    # 1; the default bounds allow 4.  Longer loops cannot beat a
     # one-state loop with an unrolled stem of 1.
-    assert longest == [1]
+    assert built == [1]
     assert (small.trace.stem_len, small.trace.loop_len,
             small.stutter_index) == (1, 1, 0)
 
@@ -133,18 +147,79 @@ def test_minimize_searches_longer_loops_only_below_its_input(monkeypatch):
     assert (cex.trace.stem_len, cex.trace.loop_len) == (2, 1)
     searched = []
 
-    def recording(program, loops, first, max_stem, max_unroll):
+    def recording(program, loops, first, max_stem, max_unroll, first_only):
         searched.append((loops.shape[1], max_stem, max_unroll))
-        return _search_unit(program, loops, first, max_stem, max_unroll)
+        return _search_unit(program, loops, first, max_stem, max_unroll,
+                            first_only)
 
     monkeypatch.setattr(falsifier, "_search_unit", recording)
     small = minimize(cex)
-    # Loops longer than the input's rank before it only with an unrolled
-    # stem shorter than its 2 states: stems of at most 1, never unrolled.
-    assert searched == [(1, 2, 2), (2, 1, 0), (3, 1, 0)]
+    # The loop-1 block finds a stem of 1 with one loop state; a longer
+    # loop would need an unrolled stem below 1, so none is searched.
+    assert searched == [(1, 2, 2)]
     assert cex_to_doc(small)["trace"] == {
         "atoms": ["a"], "stem": [[False]], "loop": [[True]],
     }
+
+
+def test_minimize_returns_its_input_when_nothing_ranks_before_it(
+        monkeypatch):
+    cex = falsify(parse("X a"))
+    calls = []
+
+    def counting(f, t, p=0):
+        calls.append(t)
+        return eval_formula(f, t, p)
+
+    monkeypatch.setattr(falsifier, "eval_formula", counting)
+    # The search finds the input itself first: only the entry check
+    # evaluates it.
+    assert minimize(cex) is cex
+    assert len(calls) == 2
+
+
+def test_the_first_flip_cut_is_exact():
+    # falsify settles each block at a first flip on its first loop; its
+    # answer is still the smallest candidate of the first block that has
+    # any, in the search that builds every stem layer.
+    rng = random.Random(43)
+    formulas = [gen_formula(rng, 4, ("p", "q")) for _ in range(300)]
+    formulas += [gen_formula(rng, 4, ("p", "q", "r")) for _ in range(12)]
+    refuted = 0
+    for f in formulas:
+        atom_names = atoms_of(f) or ("p",)
+        program = compile_formula(f, atom_names)
+        want = None
+        for loop_len, found in _search_blocks(program, len(atom_names),
+                                              SearchBounds()):
+            if found:
+                want = _reconstruct(f, atom_names, loop_len, min(found))
+                break
+        assert falsify(f) == want, render(f)
+        refuted += want is not None
+    assert refuted > 50
+
+
+def test_the_first_flip_cut_keeps_each_blocks_first_flip():
+    # Over two atoms each loop length of the test above is one block,
+    # whose first loop is constant, and no stutter inside a constant loop
+    # flips anything: the cut there only meets stem stutters.  Blocks
+    # that start at every other two-state loop, at unroll depth 4, also
+    # cut on loop stutters, in groups walked after the one that cut.
+    rng = random.Random(47)
+    loops = enumerate_states(2, 2)
+    blocks = cut = 0
+    for _ in range(200):
+        program = compile_formula(gen_formula(rng, 4, ("p", "q")), ("p", "q"))
+        for first in range(1, 16):
+            block = loops[first:]
+            full = _search_unit(program, block, first, 3, 4)
+            if full:
+                got = _search_unit(program, block, first, 3, 4, True)
+                assert min(got) == min(full)
+                blocks += 1
+                cut += len(got) < len(full)
+    assert blocks > 800 and cut > 700
 
 
 def test_next_free_programs_are_not_searched(monkeypatch):
