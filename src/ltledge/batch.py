@@ -121,8 +121,9 @@ def compile_formula(f: Formula, atoms: tuple[str, ...]) -> Program:
     One instruction per distinct subformula (nodes are interned, so equal
     subformulas are one node).  Raises KeyError for an atom not in
     ``atoms``.  Formulas are interned and programs are tuples, so the
-    most recent programs are cached: the searches of one formula and
-    the evaluations that re-check their counterexamples compile it once.
+    most recent programs are cached: the re-checks of a search's
+    counterexamples compile the formula as written once (the search
+    itself runs the program of its fold, kept in the falsifier's plan).
     """
     column = {name: j for j, name in enumerate(atoms)}
     slots: dict[Formula, int] = {}

@@ -20,7 +20,7 @@ from .analyzer import Closed, analyze, render_proof
 from .falsifier import SearchBounds, cex_to_doc, falsify
 from .patterns import Catalog, catalog
 from .semantics import eval_formula, load_trace
-from .syntax import ParseError, parse, render
+from .syntax import parse, render
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -200,9 +200,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -77,16 +77,19 @@ builds (``c`` is a constant, ``a`` and ``b`` any operands, and a
 The folded program runs over the formula's own atoms, in their order,
 even where the fold drops one, so the search order and the traces are
 the same.  The size budget and the atom cap read the formula as
-written, and every counterexample is re-checked on it.  The fold is
-the falsifier's own: evaluation and closure analysis (``normalize``)
-do not use it, so a fold bug cannot make the prover and the search
-agree on a wrong verdict.
+written, and every counterexample is re-checked on it.  One cached
+plan per formula (:func:`_plan`) holds its atoms, written size and
+folded program, so :func:`minimize` does not walk or fold again what
+:func:`falsify` searched.  The fold is the falsifier's own: evaluation
+and closure analysis (``normalize``) do not use it, so a fold bug
+cannot make the prover and the search agree on a wrong verdict.
 """
 
 from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,6 +106,7 @@ from .formula import (
     Always,
     And,
     AnyEdge,
+    Atom,
     ConstFalse,
     ConstTrue,
     Eventually,
@@ -115,7 +119,6 @@ from .formula import (
     Or,
     RiseEdge,
     Until,
-    atoms_of,
     subformulas,
     transform_bottom_up,
 )
@@ -401,17 +404,6 @@ def _search_blocks(program: Program, num_atoms: int, bounds: SearchBounds,
                                          max_unroll, first_only)
 
 
-def _atoms_for(f: Formula, bounds: SearchBounds) -> tuple[str, ...]:
-    names = atoms_of(f) or ("p",)
-    if len(names) > bounds.atom_cap:
-        raise ValueError(
-            f"formula has {len(names)} atoms, over the search cap of "
-            f"{bounds.atom_cap}; a larger cap needs "
-            f"SearchBounds(atom_cap=...) in the Python API"
-        )
-    return names
-
-
 _TRUE, _FALSE = ConstTrue(), ConstFalse()
 _NOT = {_TRUE: _FALSE, _FALSE: _TRUE}
 
@@ -463,8 +455,18 @@ def _fold_node(g: Formula) -> Formula:
     return _fold_node(Eventually(b)) if a is _TRUE else g
 
 
+@lru_cache(maxsize=16)
+def _plan(f: Formula) -> tuple[tuple[str, ...], int, Program]:
+    """All a search reads of ``f``: its atoms (``("p",)`` if none), its
+    written node count and the program of its fold over those atoms."""
+    nodes = subformulas(f)
+    names = tuple(g.name for g in nodes if type(g) is Atom) or ("p",)
+    return names, len(nodes), compile_formula(_fold(f), names)
+
+
 def _loop_chunk(nodes: int, num_atoms: int, bounds: SearchBounds) -> int:
-    """Loops per search block, for a program of ``nodes`` nodes.
+    """Loops per search block, for a program of ``nodes`` nodes; every
+    search is admitted or refused here, the atom cap first.
 
     A block covers (loop chunk) x (every stem of up to ``max_stem``
     states) lassos.  It is sized as their labels at the ``stem + loop``
@@ -483,6 +485,12 @@ def _loop_chunk(nodes: int, num_atoms: int, bounds: SearchBounds) -> int:
     block, may take at most ``2**_WALK_BUDGET_BITS`` steps.  Lasso
     counts are powers of two, kept as exponents.
     """
+    if num_atoms > bounds.atom_cap:
+        raise ValueError(
+            f"formula has {num_atoms} atoms, over the search cap of "
+            f"{bounds.atom_cap}; a larger cap needs "
+            f"SearchBounds(atom_cap=...) in the Python API"
+        )
     stem_bits = num_atoms * bounds.max_stem
     width = bounds.max_stem + bounds.max_loop
     per_loop = (width * nodes) << stem_bits
@@ -552,9 +560,8 @@ def falsify(f: Formula,
     """First stuttering counterexample within bounds, or None."""
     if bounds is None:
         bounds = SearchBounds()
-    atom_names = _atoms_for(f, bounds)
-    _loop_chunk(len(subformulas(f)), len(atom_names), bounds)
-    program = compile_formula(_fold(f), atom_names)
+    atom_names, nodes, program = _plan(f)
+    _loop_chunk(nodes, len(atom_names), bounds)
     if not any(kind in _SUCCESSOR for kind, _, _ in program):
         return None  # next-free: closed under stuttering
     for loop_len, found in _search_blocks(program, len(atom_names), bounds,
@@ -603,9 +610,8 @@ def minimize(cex: Counterexample,
     if (before != cex.value_before or after != cex.value_after
             or before == after):
         raise ValueError("not a valid counterexample for its formula")
-    atom_names = _atoms_for(f, bounds)
-    _loop_chunk(len(subformulas(f)), len(atom_names), bounds)
-    program = compile_formula(_fold(f), atom_names)
+    atom_names, nodes, program = _plan(f)
+    _loop_chunk(nodes, len(atom_names), bounds)
     size = cex.trace.stem_len
     within = replace(bounds, max_stem=min(bounds.max_stem, size))
     beat = [size, cex.trace.loop_len]

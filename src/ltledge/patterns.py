@@ -269,13 +269,9 @@ class _SharedCatalog(Catalog):
 
 
 @lru_cache(maxsize=1)
-def _default_catalog() -> Catalog:
-    return _SharedCatalog()
-
-
 def catalog() -> Catalog:
     """The catalog of built-in templates (shared instance, read-only)."""
-    return _default_catalog()
+    return _SharedCatalog()
 
 
 def instantiate(

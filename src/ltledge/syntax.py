@@ -178,15 +178,10 @@ def _render(f: Formula, minimum: int) -> str:
     kind = type(f)
     if kind in _INFIX_OF:
         symbol, level, right_assoc = _INFIX_OF[kind]
-        if type(f.left) is not kind and type(f.right) is not kind:
-            # The operand on the associative side may bind at the same
-            # level.
-            text = (_render(f.left, level + right_assoc) + symbol
-                    + _render(f.right, level + (not right_assoc)))
-            return text if level >= minimum else "(" + text + ")"
         # A chain of one operator is unfolded on an explicit stack of
         # pieces, text or (node, minimum), so chains of any length
-        # render; only operands of other kinds recurse.
+        # render; only operands of other kinds recurse.  The operand on
+        # the associative side may bind at the same level.
         out, todo = [], [(f, minimum)]
         while todo:
             item = todo.pop()

@@ -178,6 +178,21 @@ def test_minimize_returns_its_input_when_nothing_ranks_before_it(
     assert len(calls) == 2
 
 
+def test_minimize_reuses_the_plan_of_falsify(monkeypatch):
+    fold, folded = falsifier._fold, []
+
+    def counting(f):
+        folded.append(f)
+        return fold(f)
+
+    monkeypatch.setattr(falsifier, "_fold", counting)
+    falsifier._plan.cache_clear()
+    cex = falsify(parse("up a U X b"))
+    assert cex is not None and len(folded) == 1
+    minimize(cex)
+    assert len(folded) == 1
+
+
 def test_the_first_flip_cut_is_exact():
     # falsify settles each block at a first flip on its first loop; its
     # answer is still the smallest candidate of the first block that has
@@ -309,6 +324,24 @@ def test_atom_cap_is_enforced_but_adjustable():
         falsify(f)
     cex = falsify(f, SearchBounds(max_stem=2, max_loop=1, atom_cap=4))
     assert cex is not None
+
+
+def test_the_atom_cap_is_checked_before_the_budget():
+    # Stems of 12 states over 4 atoms are over the budget too; the cap
+    # is named first, by every search.
+    f = parse("a & b & c & X d")
+    cex = falsify(f, SearchBounds(max_stem=2, max_loop=1, atom_cap=4))
+    too_long = SearchBounds(max_stem=12)
+    capped = "formula has 4 atoms, over the search cap of 3"
+    with pytest.raises(ValueError, match=capped):
+        falsify(f, too_long)
+    with pytest.raises(ValueError, match=capped):
+        minimize(cex, too_long)
+    nodes = len(compile_formula(f, atoms_of(f)))
+    with pytest.raises(ValueError, match=capped):
+        _loop_chunk(nodes, 4, too_long)
+    with pytest.raises(ValueError, match=r"max_stem=12\).*budget"):
+        _loop_chunk(nodes, 4, dataclasses.replace(too_long, atom_cap=4))
 
 
 def test_search_size_is_checked_before_allocating(monkeypatch):
