@@ -174,7 +174,10 @@ def _parse_bindings(pairs: list[str]) -> dict:
         if not sep:
             raise ValueError(f"binding {reprlib.repr(item)} is not of the form "
                              "M=FORMULA")
-        binding[name.strip()] = parse(text)
+        name = name.strip()
+        if name in binding:
+            raise ValueError(f"metavariable {reprlib.repr(name)} bound twice")
+        binding[name] = parse(text)
     return binding
 
 

@@ -61,14 +61,13 @@ position of every word, bottom-up, and folds again any node a law
 builds (``c`` is a constant, ``a`` and ``b`` any operands, and a
 "same" operand is the same interned node):
 
-* ``!true`` is false, ``!false`` true and ``!!a`` is ``a``;
-* in ``&`` and ``|`` an absorbing constant wins and a neutral one is
-  dropped; ``a & a`` and ``a | a`` are ``a``, ``a & !a`` is false and
-  ``a | !a`` true;
-* ``false -> a``, ``a -> true`` and ``a -> a`` are true, ``true -> a``
-  and ``!a -> a`` are ``a``, ``a -> false`` and ``a -> !a`` are ``!a``;
-* ``true <-> a`` is ``a``, ``false <-> a`` is ``!a`` (either side),
-  ``a <-> a`` is true and ``a <-> !a`` false;
+* a connective (``!``, ``&``, ``|``, ``->``, ``<->``) whose operands
+  are constants and one formula ``x``, each plain or as ``!x``, is a
+  function of ``x`` alone.  Its truth table (``batch._POINTWISE``) at
+  ``x`` true and at ``x`` false names its fold: a constant when the two
+  agree, ``x`` for (true, false) and ``!x`` for (false, true).  So
+  ``!!a`` is ``a``, ``a & !a`` false and ``true <-> a`` is ``a``;
+  operands naming two formulas are left as they are;
 * ``X c``, ``F c`` and ``G c`` are ``c``, ``F F a`` is ``F a`` and
   ``G G a`` is ``G a``; ``up c``, ``down c`` and ``edge c`` are false;
 * ``a U c`` is ``c``, ``false U b`` is ``b``, ``true U b`` is ``F b``
@@ -94,6 +93,7 @@ from functools import lru_cache
 import numpy as np
 
 from .batch import (
+    _POINTWISE,
     _SUCCESSOR,
     Program,
     _label_temporal,
@@ -104,7 +104,6 @@ from .batch import (
 )
 from .formula import (
     Always,
-    And,
     AnyEdge,
     Atom,
     ConstFalse,
@@ -112,13 +111,11 @@ from .formula import (
     Eventually,
     FallEdge,
     Formula,
-    Iff,
-    Implies,
     Next,
     Not,
-    Or,
     RiseEdge,
     Until,
+    children_of,
     subformulas,
     transform_bottom_up,
 )
@@ -405,13 +402,15 @@ def _search_blocks(program: Program, num_atoms: int, bounds: SearchBounds,
 
 
 _TRUE, _FALSE = ConstTrue(), ConstFalse()
-_NOT = {_TRUE: _FALSE, _FALSE: _TRUE}
+# Operand values at x = true and at x = false, where x is the one formula
+# besides constants that they name; NumPy's, as ~True is -2.
+_CONSTANTS = {_TRUE: (np.True_, np.True_), _FALSE: (np.False_, np.False_)}
+_X, _NOT_X = (np.True_, np.False_), (np.False_, np.True_)
 
 
 def _fold(f: Formula) -> Formula:
-    """``f`` after the constant and identity laws of the module
-    docstring, applied bottom-up; equal to ``f`` at every position of
-    every word."""
+    """``f`` after the laws of the module docstring, applied bottom-up;
+    equal to ``f`` at every position of every word."""
     return transform_bottom_up(f, _fold_node)
 
 
@@ -419,38 +418,31 @@ def _fold_node(g: Formula) -> Formula:
     """One node whose children are folded, folded; so is a node a law
     builds."""
     kind = type(g)
-    if kind is Not:
-        a = g.child
-        return _NOT[a] if a in _NOT else a.child if type(a) is Not else g
+    truth = _POINTWISE.get(kind)
+    if truth is not None:
+        x, columns = None, []
+        for a in children_of(g):
+            y = a.child if type(a) is Not else a
+            if a not in _CONSTANTS:
+                if x is not None and y is not x:
+                    return g  # a function of two formulas
+                x = y
+            columns.append(_CONSTANTS.get(a) or (_X if a is y else _NOT_X))
+        columns += [_CONSTANTS[_FALSE]] * (2 - len(columns))  # unused slots
+        high, low = (truth(*values) for values in zip(*columns))
+        if high == low:
+            return _TRUE if high else _FALSE
+        return x if high else g if kind is Not else _fold_node(Not(x))
     if kind in (Next, Eventually, Always):
         a = g.child
-        return a if a in _NOT or (kind is not Next and type(a) is kind) else g
+        return (a if a in _CONSTANTS or (kind is not Next and type(a) is kind)
+                else g)
     if kind in (RiseEdge, FallEdge, AnyEdge):
-        return _FALSE if g.child in _NOT else g
-    if kind not in (And, Or, Implies, Iff, Until):
-        return g  # an atom or a constant
+        return _FALSE if g.child in _CONSTANTS else g
+    if kind is not Until:
+        return g  # an atom
     a, b = g.left, g.right
-    opposite = (type(a) is Not and a.child is b
-                or type(b) is Not and b.child is a)
-    if kind is And or kind is Or:
-        zero = _FALSE if kind is And else _TRUE
-        if a is zero or b is zero or opposite:
-            return zero
-        return a if b is _NOT[zero] or a is b else b if a is _NOT[zero] else g
-    if kind is Implies:
-        if a is _FALSE or b is _TRUE or a is b:
-            return _TRUE
-        if b is _FALSE:
-            return _fold_node(Not(a))
-        return b if a is _TRUE or opposite else g
-    if kind is Iff:
-        if a is b or opposite:
-            return _TRUE if a is b else _FALSE
-        for c, d in ((a, b), (b, a)):
-            if c in _NOT:
-                return d if c is _TRUE else _fold_node(Not(d))
-        return g
-    if b in _NOT or a is _FALSE or a is b:  # Until
+    if b in _CONSTANTS or a is _FALSE or a is b:
         return b
     return _fold_node(Eventually(b)) if a is _TRUE else g
 
@@ -483,7 +475,8 @@ def _loop_chunk(nodes: int, num_atoms: int, bounds: SearchBounds) -> int:
     scales with the stems, so short stems also get a time bound: the
     loop walks of the whole search, ``max_unroll * loop_len`` steps per
     block, may take at most ``2**_WALK_BUDGET_BITS`` steps.  Lasso
-    counts are powers of two, kept as exponents.
+    counts are powers of two, kept as exponents, and a table whose
+    exponent is over the budget's is refused before it is sized.
     """
     if num_atoms > bounds.atom_cap:
         raise ValueError(
@@ -491,16 +484,17 @@ def _loop_chunk(nodes: int, num_atoms: int, bounds: SearchBounds) -> int:
             f"{bounds.atom_cap}; a larger cap needs "
             f"SearchBounds(atom_cap=...) in the Python API"
         )
-    stem_bits = num_atoms * bounds.max_stem
-    width = bounds.max_stem + bounds.max_loop
-    per_loop = (width * nodes) << stem_bits
     budget = 1 << _SEARCH_BUDGET_BITS
     for name, length in (("max_loop", bounds.max_loop),
                          ("max_stem", bounds.max_stem)):
-        if (length * num_atoms) << (num_atoms * length) > budget:
+        bits = num_atoms * length
+        if bits > _SEARCH_BUDGET_BITS or (length * num_atoms) << bits > budget:
             raise _over_budget(
-                bounds, name, f"all 2**{num_atoms * length} {name[4:]}s of "
+                bounds, name, f"all 2**{bits} {name[4:]}s of "
                 f"{length} states over {num_atoms} atoms at once")
+    stem_bits = num_atoms * bounds.max_stem
+    width = bounds.max_stem + bounds.max_loop
+    per_loop = (width * nodes) << stem_bits
     if per_loop > budget:
         raise _over_budget(
             bounds, "max_stem", f"search blocks of at least 2**{stem_bits} "

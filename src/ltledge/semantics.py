@@ -208,6 +208,8 @@ def load_trace(text: str) -> LassoTrace:
     """Parse a JSON trace document."""
     try:
         doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"trace document is not valid JSON: {exc}")
     except RecursionError:
         raise ValueError("trace document is nested too deeply to read")
     return trace_from_doc(doc)

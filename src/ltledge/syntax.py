@@ -13,7 +13,8 @@ operators is folded around its operand.  Each prefix operator,
 parenthesis and right-associative operator whose operand is still being
 read is one nesting level, and more than ``MAX_NESTING`` levels is a
 :class:`ParseError`; ``&`` and ``|`` chains do not nest.  ``render``
-emits the minimal parenthesization that reparses to the same tree.
+emits the minimal parenthesization that reparses to the same tree, in
+one loop over an explicit stack, so trees of any depth render.
 """
 
 from __future__ import annotations
@@ -169,40 +170,35 @@ _PREFIX_LEVEL = 1 + max(level for _, level, _ in INFIX.values())
 
 
 def render(f: Formula) -> str:
-    """Minimal-parenthesis concrete syntax; ``parse(render(f)) == f``."""
-    return _render(f, 0)
+    """Minimal-parenthesis concrete syntax; ``parse(render(f)) == f``.
 
-
-def _render(f: Formula, minimum: int) -> str:
-    """``render(f)``, parenthesized if ``f`` binds looser than ``minimum``."""
-    kind = type(f)
-    if kind in _INFIX_OF:
-        symbol, level, right_assoc = _INFIX_OF[kind]
-        # A chain of one operator is unfolded on an explicit stack of
-        # pieces, text or (node, minimum), so chains of any length
-        # render; only operands of other kinds recurse.  The operand on
-        # the associative side may bind at the same level.
-        out, todo = [], [(f, minimum)]
-        while todo:
-            item = todo.pop()
-            if type(item) is str:
-                out.append(item)
-            elif type(item[0]) is not kind:
-                out.append(_render(*item))
-            else:
-                g, least = item
-                if level < least:
-                    out.append("(")
-                    todo.append(")")
-                todo += ((g.right, level + (not right_assoc)), symbol,
-                         (g.left, level + right_assoc))
-        return "".join(out)
-    if kind in _PREFIX_OF:
-        word, spaced = _PREFIX_OF[kind]
-        text = _render(f.child, _PREFIX_LEVEL)
-        return (word if text[0] == "(" else spaced) + text
-    if kind is Atom:
-        return f.name
-    if kind in _CONSTANT_OF:
-        return _CONSTANT_OF[kind]
-    raise TypeError(f"not a formula: {f!r}")
+    The stack holds text and (node, minimum binding level) pieces.  An
+    infix node looser than its minimum is parenthesized; its operand on
+    the associative side may bind at its own level.
+    """
+    out, todo = [], [(f, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, least = item
+        kind = type(g)
+        if kind in _INFIX_OF:
+            symbol, level, right_assoc = _INFIX_OF[kind]
+            if level < least:
+                out.append("(")
+                todo.append(")")
+            todo += ((g.right, level + (not right_assoc)), symbol,
+                     (g.left, level + right_assoc))
+        elif kind in _PREFIX_OF:
+            word, spaced = _PREFIX_OF[kind]
+            out.append(word if type(g.child) in _INFIX_OF else spaced)
+            todo.append((g.child, _PREFIX_LEVEL))
+        elif kind is Atom:
+            out.append(g.name)
+        elif kind in _CONSTANT_OF:
+            out.append(_CONSTANT_OF[kind])
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return "".join(out)

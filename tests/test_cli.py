@@ -157,6 +157,20 @@ def test_pattern_instantiate_warns_but_still_prints(run):
     assert "not provably closed" in err
 
 
+def test_a_metavariable_bound_twice_is_a_usage_error(run):
+    code, out, err = run(
+        "pattern", "instantiate", "existence", "A", "0",
+        "-b", "P=a", "-b", "P=b",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: metavariable 'P' bound twice\n"
+    name = "y" * 100_000
+    code, out, err = run("pattern", "instantiate", "existence/A/0",
+                         "-b", f"{name}=a", "-b", f"{name}=b")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: metavariable 'yyy") and len(err) < 200
+
+
 def test_pattern_check_reports_every_template(run):
     code, out, _ = run("pattern", "check")
     lines = out.splitlines()
@@ -216,6 +230,15 @@ def test_errors_exit_with_two(run, tmp_path):
         code, _, err = run(*argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_a_trace_that_is_not_json_is_a_usage_error(run, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("")
+    code, out, err = run("eval", "a", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: trace document is not valid JSON: Expecting "
+                   "value: line 1 column 1 (char 0)\n")
 
 
 @pytest.mark.parametrize("value,shown", [

@@ -31,7 +31,17 @@ from ltledge.falsifier import (
     falsify,
     minimize,
 )
-from ltledge.formula import atoms_of
+from ltledge.formula import (
+    And,
+    ConstFalse,
+    ConstTrue,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    atoms_of,
+    children_of,
+)
 from ltledge.semantics import (
     LassoTrace,
     eval_formula,
@@ -263,17 +273,20 @@ def test_next_free_programs_are_not_searched(monkeypatch):
         falsify(parse(f"X(({chain}) -> true)"), SearchBounds(max_stem=6))
 
 
+def _assert_same_labels(f, g):
+    """``f`` and ``g`` agree at position 0 of every lasso of stem and
+    loop up to 2 over p and q, labeled as eval_oracle does, a block of
+    lassos of one shape per call."""
+    for stems, loops in LASSO_BLOCKS:
+        assert (label_block(f, ("p", "q"), stems, loops)
+                == label_block(g, ("p", "q"), stems, loops)).all(), \
+            (render(f), render(g))
+
+
 def test_the_fold_is_exact():
-    # The fold keeps the value at position 0 of every lasso of stem and
-    # loop up to 2 (labeled as eval_oracle does, a block of lassos of one
-    # shape per call), and the search over the folded program finds the
-    # same candidates as over the formula.
-    shapes = {}
-    for t in LASSOS:
-        shapes.setdefault((t.stem_len, t.loop_len), []).append(t)
-    blocks = [tuple(np.array([getattr(t, part) for t in ts], dtype=bool)
-                    .reshape(len(ts), -1, 2) for part in ("stem", "loop"))
-              for ts in shapes.values()]
+    # The fold keeps the value at position 0 of every short lasso, and
+    # the search over the folded program finds the same candidates as
+    # over the formula.
     rng = random.Random(41)
     folded = searched = 0
     for _ in range(2000):
@@ -282,10 +295,7 @@ def test_the_fold_is_exact():
         if g is f:
             continue
         folded += 1
-        for stems, loops in blocks:
-            assert (label_block(f, ("p", "q"), stems, loops)
-                    == label_block(g, ("p", "q"), stems, loops)).all(), \
-                (render(f), render(g))
+        _assert_same_labels(f, g)
         if searched < 300:
             searched += 1
             atom_names = atoms_of(f) or ("p",)
@@ -294,6 +304,27 @@ def test_the_fold_is_exact():
                          for h in (f, g))
             assert got == want, (render(f), render(g))
     assert folded > 600 and searched == 300
+
+
+def test_the_fold_of_a_connective_over_one_formula_is_complete():
+    # A connective whose operands name one formula x besides constants,
+    # each plain or as !x, is a function of x alone: its fold is a
+    # constant, x or !x.  The fold is exact over every operand pair.
+    true, false = ConstTrue(), ConstFalse()
+    operands = [parse(t) for t in ("true", "false", "p", "!p", "X q", "!X q")]
+    nodes = [Not(a) for a in operands]
+    nodes += [kind(a, b) for kind in (And, Or, Implies, Iff)
+              for a in operands for b in operands]
+    complete = 0
+    for f in nodes:
+        g = falsifier._fold(f)
+        _assert_same_labels(f, g)
+        named = {a.child if type(a) is Not else a
+                 for a in children_of(f)} - {true, false}
+        if len(named) <= 1:
+            assert g in {true, false, *named, *map(Not, named)}, render(f)
+            complete += 1
+    assert (len(nodes), complete) == (150, 118)
 
 
 def test_next_free_programs_have_no_candidates():
@@ -561,6 +592,20 @@ def test_minimize_agrees_with_the_search_of_the_whole_bounds(stems):
 LASSOS = list(all_lassos(("p", "q"), 2, 2))
 
 
+def _lasso_blocks() -> list[tuple[np.ndarray, np.ndarray]]:
+    """LASSOS as label_block reads them: one (stems, loops) block per
+    shape."""
+    shapes = {}
+    for t in LASSOS:
+        shapes.setdefault((t.stem_len, t.loop_len), []).append(t)
+    return [tuple(np.array([getattr(t, part) for t in ts], dtype=bool)
+                  .reshape(len(ts), -1, 2) for part in ("stem", "loop"))
+            for ts in shapes.values()]
+
+
+LASSO_BLOCKS = _lasso_blocks()
+
+
 @settings(max_examples=300, deadline=None)
 @given(formula_strategy(), st.sampled_from(LASSOS), st.integers(0, 2),
        st.data())
@@ -586,6 +631,24 @@ def test_one_step_sweep_agrees_with_explicit_relabeling(f, t, k, data):
                     np.array(trace.loop, dtype=bool).reshape(1, -1, 2))[0]
         for trace in (t, stutter_at(unrolled, i)))
     assert flipped == (before != after)
+
+
+@pytest.mark.parametrize("name", ["max_stem", "max_loop"])
+def test_huge_bounds_are_refused_without_building_their_size(name):
+    # 2**(3 * 10**7) stems or loops would be a 3.75 MB integer before the
+    # comparison with the budget; the exponent alone refuses them.
+    f = parse("a & b & X c")
+    with pytest.raises(ValueError, match="max_stem=9"):
+        falsify(f, SearchBounds(max_stem=9))  # plans f
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"{name}=10000000\) needs all "
+                           r"2\*\*30000000 .*budget of 2\*\*27 bytes"):
+            falsify(f, SearchBounds(**{name: 10**7}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
 
 
 def test_live_stutters_stay_within_a_block():

@@ -109,6 +109,19 @@ def test_render_uses_minimal_parentheses():
     assert render(parse("up (p)")) == "up p"
 
 
+def test_deep_prefix_chains_render():
+    # Deeper than parse accepts, and than a recursive renderer can go.
+    f = Atom("a")
+    for _ in range(3000):
+        f = Not(f)
+    assert render(f) == "!" * 3000 + "a"
+    g = Atom("a")
+    for kind in (Not, RiseEdge, Next, Eventually, Always) * 600:
+        g = kind(g)
+    assert render(g) == "G F X up !" * 600 + "a"
+    assert render(Next(And(g, f))).startswith("X(G F X up !G ")
+
+
 def test_render_golden_pattern_body():
     body = "G(up q & F up r -> X(!up r U p) & !up r)"
     assert render(parse(body)) == body
