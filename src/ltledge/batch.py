@@ -144,10 +144,12 @@ def compile_formula(f: Formula, atoms: tuple[str, ...]) -> Program:
 def step(program: Program, letter: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     """Node vectors at one position, from the letter there and the next one.
 
-    ``letter`` has shape (atoms, lassos) and ``nxt``, the node vectors at
-    the next position, (nodes, lassos); so does the result.
+    ``letter`` has shape (atoms, *a) and ``nxt``, the node vectors at the
+    next position, (nodes, *b); the result has shape (nodes, *c), where
+    ``a`` and ``b`` broadcast to ``c``.
     """
-    cur = np.empty_like(nxt)
+    shape = np.broadcast(letter[0], nxt[0]).shape
+    cur = np.empty((len(program), *shape), dtype=bool)
     for slot, (kind, a, b) in enumerate(program):
         if kind is Atom:
             cur[slot] = letter[a]

@@ -17,9 +17,10 @@ The search walks stem layers.  Each block of loops is labeled once,
 by the labeling route (``batch.compile_formula``), at the loop's own
 positions only.  Lasso ``(x u, v)`` has ``(u, v)`` as its suffix, so
 the node vectors at position 0 of every lasso with a stem one state
-longer are one backward ``batch.step`` per prepended state ``x`` from
-the layer before; no stuttered copy is built and no stem position is
-labeled.
+longer are one backward ``batch.step`` from the layer before, which
+broadcasts its tails under every state ``x`` (:func:`_stem_layer`), so
+no letter or tail is copied per row; no stuttered copy is built and no
+stem position is labeled.
 
 A stutter is followed as a live entry: a lasso, the stutter position,
 and the stuttered word's node vector.  Duplicating position ``i``
@@ -27,20 +28,21 @@ leaves the suffix after it unchanged, so the stuttered word's vector at
 ``i`` is one step from the original one there.  The stutters of loop
 positions, of every unroll depth, are walked back around the loop once,
 at stem 0, all together, one step per unrolled position.  Each stem
-layer then moves every live entry on by the prepended state, drops it
-once its whole vector equals the original's again (it would match at
-every earlier position too), and adds the one new stutter, at position
-0.  An entry whose root still differs from the original's is a flip.
-The entries are held in groups no larger than the block's labels at
-all ``stem + loop`` positions would be.  Every candidate is re-checked
+layer then moves every live entry on by every prepended state, in one
+broadcast step (:func:`_prepend`), drops it once its whole vector
+equals the original's again (it would match at every earlier position
+too), and adds the one new stutter, at position 0.  An entry whose
+root still differs from the original's is a flip.  The entries are
+held in groups no larger than the block's labels at all
+``stem + loop`` positions would be.  Every candidate is re-checked
 on explicit traces by the scan route before it is returned.
 
-A search stops once its answer is settled.  Stem layers are built when
-a group first reaches them, and the stem bound is read before each
-layer.  :func:`falsify` wants only the first flip of the first block
-that has one, and the order is loop, stem length, stem, depth,
-position: a flip on the block's first loop at stem length ``s`` lowers
-the bound to ``s``, as no flip of a longer stem can come first.
+A search stops once its answer is settled.  The first group of live
+entries builds each stem layer as it reaches it, and the stem bound is
+read before each layer.  :func:`falsify` wants only the first flip of
+the first block that has one, and the order is loop, stem length, stem,
+depth, position: a flip on the block's first loop at stem length ``s``
+lowers the bound to ``s``, as no flip of a longer stem can come first.
 :func:`minimize` lowers its limits after each block to the best
 candidate so far, and returns its input itself when that is the best.
 
@@ -181,19 +183,16 @@ def _diverging(program: Program, letter: np.ndarray,
     node vectors ``vectors`` is duplicated, and their new node vectors.
 
     After the duplication the copy is followed by the old word, so its
-    vector is one :func:`step` from ``vectors``.
+    vector is one :func:`step` from ``vectors``, and ``letter`` may
+    broadcast to them; rows number their trailing shape in C order.
     """
     moved = step(program, letter, vectors)
     rows = np.flatnonzero((moved != vectors).any(axis=0)).astype(np.int32)
-    return rows, moved[:, rows]
+    return rows, moved.reshape(len(program), -1)[:, rows]
 
 
 def _live(rows: np.ndarray, vectors: np.ndarray, offset: int) -> _Live:
     return rows, np.full(rows.size, offset, np.int32), vectors
-
-
-def _no_stutters(vectors: np.ndarray) -> _Live:
-    return _live(np.empty(0, dtype=np.int32), vectors[:, :0], 0)
 
 
 def _joined(live: _Live, more: _Live) -> _Live:
@@ -206,37 +205,45 @@ def _still_moved(program: Program, letter: np.ndarray, original: np.ndarray,
     keep the entries whose vector still differs from the ``original``
     one there, which is overwritten.  Earlier positions keep their
     letters, so an entry that matches again would match at every earlier
-    position too."""
+    position too.  ``rows`` may have a leading axis of states, as in
+    :func:`_prepend`; the offsets follow its last axis, the entries."""
     rows, offsets, vectors = live
     vectors = step(program, letter, vectors)
     moved = np.not_equal(vectors, original, out=original).any(axis=0)
-    return rows[moved], offsets[moved], vectors[:, moved]
+    return rows[moved], offsets[moved.nonzero()[-1]], vectors[:, moved]
 
 
 def _stem_layer(program: Program, states: np.ndarray, n_loops: int,
-               vectors: np.ndarray, s: int) -> tuple[np.ndarray, _Live]:
+               vectors: np.ndarray, s: int, live: _Live
+               ) -> tuple[np.ndarray, _Live]:
     """The stem layer of length ``s + 1`` from ``vectors``, the node
     vectors at position 0 of the lassos of stem length ``s``: its own
-    vectors there, and the live stutters of its position 0.
+    vectors there, and ``live`` moved onto it joined by the live
+    stutters of its position 0.
 
     ``states`` holds the letters of every state, one column each.  Lasso
     ``(x u, v)`` has ``(u, v)`` as its suffix, so the layer is one
-    :func:`step` per prepended state ``x``.
+    broadcast :func:`step` of the tails, viewed as (nodes, loops, 1,
+    stems), under the states, viewed as (atoms, 1, states, 1).  The new
+    stutters are found after ``live`` has moved, so the two steps never
+    hold their temporaries at once.
     """
-    count = states.shape[1]
-    stems = count**s
-    letter = np.tile(np.repeat(states, stems, axis=1), n_loops)
-    tails = vectors.reshape(len(program), n_loops, 1, stems)
-    vectors = step(program, letter, np.repeat(tails, count, axis=2)
-                   .reshape(len(program), -1))
-    return vectors, _live(*_diverging(program, letter, vectors), -s - 1)
+    letter = states[:, None, :, None]
+    vectors = step(program, letter,
+                   vectors.reshape(len(program), n_loops, 1, -1))
+    flat = vectors.reshape(len(program), -1)
+    live = _prepend(program, states, states.shape[1] ** s, flat, live)
+    return flat, _joined(live,
+                         _live(*_diverging(program, letter, vectors), -s - 1))
 
 
 def _prepend(program: Program, states: np.ndarray, stems: int,
              vectors: np.ndarray, live: _Live) -> _Live:
     """Move ``live`` from a layer of ``stems`` stems per loop to position
     0 of the next one, whose vectors are ``vectors``: the entry of row
-    ``(u, v)`` goes to row ``(x u, v)`` for every state ``x``."""
+    ``(u, v)`` goes to row ``(x u, v)`` for every state ``x``, by one
+    broadcast :func:`step` of the live vectors, viewed as (nodes, 1,
+    entries), under the states, viewed as (atoms, states, 1)."""
     rows, offsets, moved = live
     if not rows.size:
         return live
@@ -244,10 +251,8 @@ def _prepend(program: Program, states: np.ndarray, stems: int,
     stem = rows % stems
     rows = ((rows - stem) * count + stem
             + np.arange(0, count * stems, stems, dtype=np.int32)[:, None])
-    rows = rows.ravel()
-    return _still_moved(
-        program, np.repeat(states, stem.size, axis=1), vectors[:, rows],
-        (rows, np.tile(offsets, count), np.tile(moved, count)))
+    return _still_moved(program, states[:, :, None], vectors[:, rows],
+                        (rows, offsets, moved[:, None]))
 
 
 def _loop_stutters(program: Program, loops: np.ndarray, labels: np.ndarray,
@@ -256,25 +261,29 @@ def _loop_stutters(program: Program, loops: np.ndarray, labels: np.ndarray,
     up to ``max_unroll`` on the stem-0 lassos, at position 0, in groups
     of at most ``cap`` entries.
 
-    Walking the stutter position down from the deepest copy, all entries
-    move back together, one step per position, and the stutter there
-    joins them.  When it would overflow ``cap``, the entries so far are
-    walked to position 0 on their own and yielded first.
+    One broadcast :func:`step` finds the stutters that start at every
+    loop position.  Walking the stutter position down from the deepest
+    copy, all entries move back together, one step per position, and
+    the stutter there joins them.  When it would overflow ``cap``, the
+    entries so far are walked to position 0 on their own and yielded
+    first.
     """
     loop_len = labels.shape[0]
-    letters = loops.transpose(1, 2, 0)
+    letters, labels = loops.transpose(2, 1, 0), labels.transpose(1, 0, 2)
 
     def back(live: _Live, j: int) -> _Live:
         rows = live[0]
         if not rows.size:
             return live
         q = j % loop_len
-        return _still_moved(program, letters[q][:, rows], labels[q][:, rows],
+        return _still_moved(program, letters[:, q, rows], labels[:, q, rows],
                             live)
 
-    starts = [_diverging(program, letters[q], labels[q])
+    rows, moved = _diverging(program, letters, labels)
+    position, rows = np.divmod(rows, loops.shape[0])
+    starts = [(rows[position == q], moved[:, position == q])
               for q in range(loop_len)]
-    live = _no_stutters(labels[0])
+    live = _live(rows[:0], moved[:, :0], 0)
     for i in range(max_unroll * loop_len - 1, -1, -1):
         live = back(live, i)
         start = _live(*starts[i % loop_len], i)
@@ -305,7 +314,7 @@ def _flips(program: Program, loops: np.ndarray, max_stem: int,
     the first group, and each layer multiplies entries at most by the
     number of states, as it does rows.
 
-    Stem layers are built when a group first reaches them, and
+    The first group builds each stem layer as it reaches it, and
     ``max_stem`` is read before each layer.  With ``first_only``, a flip
     on the block's first loop at stem length ``s`` lowers it to ``s``:
     the search order is loop, stem length, stem, depth, position, so no
@@ -316,24 +325,23 @@ def _flips(program: Program, loops: np.ndarray, max_stem: int,
     labels = _root_rows(program, loops, 0, _label_temporal)
     states = enumerate_states(num_atoms, 1)[:, 0].T
     count = states.shape[1]
-    layers = [(labels[0], _no_stutters(labels[0]))]
+    layers = [labels[0]]
     groups = _loop_stutters(program, loops, labels, max_unroll,
                             loop_len * n_loops)
     for g, live in enumerate(groups):
         for s in range(max_stem + 1):
             if s > max_stem:
                 break
-            if s == len(layers):
-                layers.append(_stem_layer(program, states, n_loops,
-                                          layers[-1][0], s - 1))
-            vectors, starts = layers[s]
-            if s:
-                live = _prepend(program, states, count ** (s - 1), vectors,
+            if s and g == 0:  # the first group reaches every layer first
+                vectors, live = _stem_layer(program, states, n_loops,
+                                            layers[-1], s - 1, live)
+                layers.append(vectors)
+            elif s:
+                live = _prepend(program, states, count ** (s - 1), layers[s],
                                 live)
-                if g == 0:
-                    live = _joined(live, starts)
-                elif not live[0].size:
+                if not live[0].size:
                     break
+            vectors = layers[s]
             rows, offsets, moved = live
             hit = moved[-1] != vectors[-1, rows]
             if hit.any():
@@ -403,15 +411,17 @@ def _search_blocks(program: Program, num_atoms: int, bounds: SearchBounds,
 
 _TRUE, _FALSE = ConstTrue(), ConstFalse()
 # Operand values at x = true and at x = false, where x is the one formula
-# besides constants that they name; NumPy's, as ~True is -2.
-_CONSTANTS = {_TRUE: (np.True_, np.True_), _FALSE: (np.False_, np.False_)}
-_X, _NOT_X = (np.True_, np.False_), (np.False_, np.True_)
+# besides constants that they name.  Plain ints, read through ``& 1``, as
+# ~1 is -2.
+_CONSTANTS = {_TRUE: (1, 1), _FALSE: (0, 0)}
+_X, _NOT_X = (1, 0), (0, 1)
 
 
-def _fold(f: Formula) -> Formula:
-    """``f`` after the laws of the module docstring, applied bottom-up;
-    equal to ``f`` at every position of every word."""
-    return transform_bottom_up(f, _fold_node)
+def _fold(nodes: list[Formula]) -> Formula:
+    """The formula whose subformulas, in postorder, are ``nodes`` (its
+    root last), after the laws of the module docstring, applied
+    bottom-up; equal to it at every position of every word."""
+    return transform_bottom_up(nodes[-1], _fold_node, nodes)
 
 
 def _fold_node(g: Formula) -> Formula:
@@ -429,7 +439,7 @@ def _fold_node(g: Formula) -> Formula:
                 x = y
             columns.append(_CONSTANTS.get(a) or (_X if a is y else _NOT_X))
         columns += [_CONSTANTS[_FALSE]] * (2 - len(columns))  # unused slots
-        high, low = (truth(*values) for values in zip(*columns))
+        high, low = (truth(*values) & 1 for values in zip(*columns))
         if high == low:
             return _TRUE if high else _FALSE
         return x if high else g if kind is Not else _fold_node(Not(x))
@@ -453,7 +463,7 @@ def _plan(f: Formula) -> tuple[tuple[str, ...], int, Program]:
     written node count and the program of its fold over those atoms."""
     nodes = subformulas(f)
     names = tuple(g.name for g in nodes if type(g) is Atom) or ("p",)
-    return names, len(nodes), compile_formula(_fold(f), names)
+    return names, len(nodes), compile_formula(_fold(nodes), names)
 
 
 def _loop_chunk(nodes: int, num_atoms: int, bounds: SearchBounds) -> int:

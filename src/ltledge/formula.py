@@ -18,6 +18,7 @@ on an explicit stack, children first, and :func:`spine` and
 
 from __future__ import annotations
 
+import heapq
 import threading
 import weakref
 from dataclasses import dataclass
@@ -230,12 +231,14 @@ def atoms_of(f: Formula) -> tuple[str, ...]:
     return tuple(g.name for g in subformulas(f) if type(g) is Atom)
 
 
-def transform_bottom_up(f: Formula, step) -> Formula:
+def transform_bottom_up(f: Formula, step,
+                        nodes: list[Formula] | None = None) -> Formula:
     """Rewrite ``f`` bottom-up: children first, then ``step`` on the node,
-    once per distinct subformula (``step`` must be a pure function)."""
+    once per distinct subformula (``step`` must be a pure function).
+    ``nodes`` is ``subformulas(f)``, if the caller has it already."""
     done: dict[Formula, Formula] = {}
     get = done.__getitem__
-    for g in subformulas(f):
+    for g in subformulas(f) if nodes is None else nodes:
         kids = tuple(map(get, g._kids))
         done[g] = step(g if kids == g._kids else type(g)(*kids))
     return done[f]
@@ -278,29 +281,6 @@ def _build(kind: type, items: list[Formula]) -> Formula:
     return out
 
 
-def _find_edge_pair(items: list[Formula]):
-    """First pair of conjuncts forming an edge, rises before falls.
-
-    Returns ``(i, j, edge)`` for the first such pair ``i < j`` in
-    lexicographic order, or ``None``.  Each pair has an ``X`` conjunct
-    (``X z`` and ``!z`` rise, ``X !a`` and ``a`` fall), and none of its
-    pairs comes before the one with its partner's first occurrence.
-    """
-    first: dict[Formula, int] = {}
-    for j, g in enumerate(items):
-        first.setdefault(g, j)
-    nexts = [(k, g.child) for k, g in enumerate(items) if isinstance(g, Next)]
-    rises = [(k, Not(z), z) for k, z in nexts]
-    falls = [(k, z.child, z.child) for k, z in nexts if isinstance(z, Not)]
-    for edge, halves in ((RiseEdge, rises), (FallEdge, falls)):
-        pairs = [(min(k, first[p]), max(k, first[p]), a)
-                 for k, p, a in halves if p in first]
-        if pairs:
-            i, j, a = min(pairs, key=lambda pair: pair[:2])
-            return i, j, edge(a)
-    return None
-
-
 def _drop_negation(g: Formula) -> Formula:
     """One negation-removing rewrite at the root of ``g``, or ``g`` itself.
 
@@ -339,17 +319,59 @@ def _conj(items: list[Formula]) -> Formula:
 
     The conjuncts are the leaves of the items' ``&`` chains.  A pair of
     conjuncts ``!a`` and ``X a`` is folded into ``RiseEdge(a)`` and a
-    pair ``a`` and ``X !a`` into ``FallEdge(a)``, repeatedly, scanning
-    pairs left to right (rises first).  The fold replaces the earlier
-    conjunct and drops the later one, so conjunct order is otherwise
-    preserved; the chain is rebuilt right-nested.
+    pair ``a`` and ``X !a`` into ``FallEdge(a)``, repeatedly, the first
+    pair of positions first (rises before falls).  The fold replaces the
+    earlier conjunct and drops the later one, so conjunct order is
+    otherwise preserved; the chain is rebuilt right-nested.
+
+    A kind of pair is an ``X`` conjunct node with its partner node, and
+    its next pair is their first occurrences, so the next fold is the
+    least of those over all kinds.  A heap holds them, and each fold
+    offers again the kinds that name a node it consumed or built: the
+    time is n log n in the number of conjuncts.
     """
     items = [c for g in items for c in spine(g, And)]
-    while (hit := _find_edge_pair(items)) is not None:
-        i, j, edge = hit
-        items[i] = _rewrite_step(edge)
-        del items[j]
-    return build_and(items)
+    spots: dict[Formula, list[int]] = {}  # node -> heap of its positions
+    for k, g in enumerate(items):
+        spots.setdefault(g, []).append(k)
+    kinds = [(0, x, Not(x.child), RiseEdge(x.child))
+             for x in spots if type(x) is Next]
+    kinds += [(1, x, x.child.child, FallEdge(x.child.child))
+              for x in spots if type(x) is Next and type(x.child) is Not]
+    naming: dict[Formula, list[int]] = {}  # node -> kinds naming it
+    for n, (_, x, partner, _) in enumerate(kinds):
+        naming.setdefault(x, []).append(n)
+        naming.setdefault(partner, []).append(n)
+
+    def first(g: Formula) -> int | None:
+        heap = spots.get(g, [])
+        while heap and items[heap[0]] is not g:
+            heapq.heappop(heap)  # consumed or overwritten
+        return heap[0] if heap else None
+
+    def pair(n: int) -> tuple[int, int] | None:
+        k, f = first(kinds[n][1]), first(kinds[n][2])
+        return None if k is None or f is None else (min(k, f), max(k, f))
+
+    todo: list[tuple[int, int, int, int]] = []
+
+    def offer(n: int) -> None:
+        if (ij := pair(n)) is not None:
+            heapq.heappush(todo, (kinds[n][0], *ij, n))
+
+    for n in range(len(kinds)):
+        offer(n)
+    while todo:
+        _, i, j, n = heapq.heappop(todo)
+        if pair(n) != (i, j):
+            continue  # stale: its kind was offered again when it moved
+        used = items[i], items[j]
+        items[i], items[j] = _rewrite_step(kinds[n][3]), None
+        heapq.heappush(spots.setdefault(items[i], []), i)
+        for g in (*used, items[i]):
+            for m in naming.get(g, ()):
+                offer(m)
+    return build_and([g for g in items if g is not None])
 
 
 def _rewrite_step(g: Formula) -> Formula:

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_lassos, formula_strategy, gen_formula
-from ltledge import falsifier
+from ltledge import falsifier, formula
 from ltledge.batch import compile_formula, enumerate_states, label_block
 from ltledge.falsifier import (
     Counterexample,
@@ -41,6 +41,7 @@ from ltledge.formula import (
     Or,
     atoms_of,
     children_of,
+    subformulas,
 )
 from ltledge.semantics import (
     LassoTrace,
@@ -122,9 +123,9 @@ def _record_stem_layers(monkeypatch) -> list[int]:
     """Record the stem length of each stem layer the search builds."""
     built = []
 
-    def recording(program, states, n_loops, vectors, s):
+    def recording(program, states, n_loops, vectors, s, live):
         built.append(s + 1)
-        return _stem_layer(program, states, n_loops, vectors, s)
+        return _stem_layer(program, states, n_loops, vectors, s, live)
 
     monkeypatch.setattr(falsifier, "_stem_layer", recording)
     return built
@@ -201,6 +202,22 @@ def test_minimize_reuses_the_plan_of_falsify(monkeypatch):
     assert cex is not None and len(folded) == 1
     minimize(cex)
     assert len(folded) == 1
+
+
+def test_a_plan_walks_its_formula_once(monkeypatch):
+    # The fold runs over the plan's own list of subformulas; the only
+    # other walk is compile_formula's, of the fold (here "c").
+    postorder, walked = formula.postorder, []
+
+    def counting(root, *args):
+        walked.append(root)
+        return postorder(root, *args)
+
+    monkeypatch.setattr(formula, "postorder", counting)
+    f = parse("G(up a -> X (b | !b)) & c")
+    falsifier._plan.cache_clear()
+    assert falsifier._plan(f)[0] == ("a", "b", "c")
+    assert walked.count(f) == 1
 
 
 def test_the_first_flip_cut_is_exact():
@@ -291,7 +308,7 @@ def test_the_fold_is_exact():
     folded = searched = 0
     for _ in range(2000):
         f = gen_formula(rng, 4, ("p", "q"))
-        g = falsifier._fold(f)
+        g = falsifier._fold(subformulas(f))
         if g is f:
             continue
         folded += 1
@@ -317,7 +334,7 @@ def test_the_fold_of_a_connective_over_one_formula_is_complete():
               for a in operands for b in operands]
     complete = 0
     for f in nodes:
-        g = falsifier._fold(f)
+        g = falsifier._fold(subformulas(f))
         _assert_same_labels(f, g)
         named = {a.child if type(a) is Not else a
                  for a in children_of(f)} - {true, false}
@@ -664,6 +681,28 @@ def test_live_stutters_stay_within_a_block():
     finally:
         tracemalloc.stop()
     assert peak <= 14.9 * 2**20
+
+
+@pytest.mark.parametrize("text, mib", [
+    ("G(up !p -> X q | r)", 5.2),
+    ("F(up !p & X !r & !q)", 6.0),
+    ("F(!p & X p & X(r & q))", 6.0),
+    ("(!up p | X r | !q) U (up !q & X r & q)", 7.5),
+])
+def test_a_full_search_copies_nothing_per_row(text, mib):
+    # Four closed 3-atom schema shapes, searched whole at the default
+    # bounds.  Each stem layer and each move of the live stutters is one
+    # broadcast step; copying the letters, tails and live vectors per row
+    # peaked at 6.2, 7.1, 7.1 and 9.0 MiB.
+    f = parse(text)
+    falsify(f, SearchBounds(max_stem=0, max_loop=1))  # plans f
+    tracemalloc.start()
+    try:
+        assert falsify(f) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20
 
 
 GOLDEN_SEED = 17

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import formula_strategy, gen_formula
+from ltledge import formula
 from ltledge import (
     Closed,
     LassoTrace,
@@ -194,6 +195,43 @@ def test_rewrite_logic_reaches_its_fixpoint_in_one_pass():
     assert rewrite_logic(f) == build_and([Always(Atom(n)) for n in names])
 
 
+def _formula_lines_run(call) -> int:
+    """Lines of ``ltledge/formula.py`` that ``call()`` executes."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def scope(frame, event, arg):
+        return local if frame.f_code.co_filename == formula.__file__ else None
+
+    sys.settrace(scope)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_edge_pairs_fold_without_a_rescan_per_fold():
+    # Each fold of a conjunct pair reads only the pairs it changes, so
+    # twice the pairs take about twice the lines; a scan of every
+    # conjunct per fold takes four times as many.
+    def pairs(n: int) -> Formula:
+        atoms = [Atom(f"a{i}") for i in range(n)]
+        return build_and([g for a in atoms for g in (Not(a), Next(a))])
+
+    lines = []
+    for n in (150, 300):
+        f, want = pairs(n), build_and([RiseEdge(Atom(f"a{i}"))
+                                       for i in range(n)])
+        lines.append(_formula_lines_run(lambda: rewrite_logic(f)))
+        assert rewrite_logic(f) == want
+    assert lines[1] < 2.5 * lines[0], lines
+
+
 @pytest.mark.parametrize("text, expected", [
     ("G(!p -> !X p)", "!F up p"),
     ("G(!p & q -> !X p)", "!F(up p & q)"),
@@ -206,6 +244,9 @@ def test_rewrite_logic_reaches_its_fixpoint_in_one_pass():
     ("up !!p & X !!q", "up p & X q"),
     ("F !(!p & X p & q)", "F !up p | F !q"),
     ("G(x -> !(!p & X p))", "!F(x & up p)"),
+    # a fold's edge pairs again, with its first occurrence
+    ("!a & X a & up a & X !(up a)", "down up a & up a"),
+    ("X !(up a) & up a & !a & X a", "down up a & up a"),
 ])
 def test_normalize_reaches_forms_that_chain_several_rewrites(text, expected):
     # each needs a rewrite that exposes another: a fold under a
