@@ -481,6 +481,9 @@ def proof_from_doc(doc: dict) -> ProofTree:
         order, todo = [], [doc]
         while todo:
             d = todo.pop()
+            if not isinstance(d, dict):
+                raise TypeError("proof node must be a JSON object, not "
+                                f"{type(d).__name__}")
             try:
                 rule = Rule(d["rule"])
             except ValueError:

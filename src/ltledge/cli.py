@@ -175,9 +175,15 @@ def _parse_bindings(pairs: list[str]) -> dict:
             raise ValueError(f"binding {reprlib.repr(item)} is not of the form "
                              "M=FORMULA")
         name = name.strip()
+        if not name:
+            raise ValueError(f"binding {reprlib.repr(item)} names no "
+                             "metavariable")
         if name in binding:
             raise ValueError(f"metavariable {reprlib.repr(name)} bound twice")
-        binding[name] = parse(text)
+        try:
+            binding[name] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"binding {reprlib.repr(item)}: {exc}") from None
     return binding
 
 

@@ -37,14 +37,17 @@ held in groups no larger than the block's labels at all
 ``stem + loop`` positions would be.  Every candidate is re-checked
 on explicit traces by the scan route before it is returned.
 
-A search stops once its answer is settled.  The first group of live
-entries builds each stem layer as it reaches it, and the stem bound is
-read before each layer.  :func:`falsify` wants only the first flip of
-the first block that has one, and the order is loop, stem length, stem,
-depth, position: a flip on the block's first loop at stem length ``s``
-lowers the bound to ``s``, as no flip of a longer stem can come first.
-:func:`minimize` lowers its limits after each block to the best
-candidate so far, and returns its input itself when that is the best.
+A search stops once its answer is settled.  :func:`_flips` yields a
+block's flips layer by layer: the first group of live entries builds
+each stem layer as it reaches it, and a stem limit, which the caller
+may lower, is read before each layer.  Each caller owns its order.
+:func:`falsify` wants only the first flip of the first block that has
+one, and the order is loop, stem length, stem, depth, position: a flip
+on the block's first loop at stem length ``s`` lowers the limit to
+``s``, as no flip of a longer stem can come first.  :func:`minimize`
+works out each block's stem and depth limits from its best candidate
+so far, ranks the least flip of each layer by size, and returns its
+input itself when that is the best.
 
 Two exact rules skip searches that cannot find anything.  A program
 with no ``X`` or edge node (no node class in ``batch._SUCCESSOR``, the
@@ -297,29 +300,26 @@ def _loop_stutters(program: Program, loops: np.ndarray, labels: np.ndarray,
     yield live
 
 
-def _flips(program: Program, loops: np.ndarray, max_stem: int,
-           max_unroll: int, first_only: bool = False):
+def _flips(program: Program, loops: np.ndarray, stem_limit: list[int],
+           max_unroll: int):
     """Yield ``(stem_len, rows, k, i, before)`` for the stutters that
     flip the root, per layer that has any: the stutter at position
     ``i[n]`` of the lasso of row ``rows[n]``, unrolled ``k[n]`` times,
     flips its value at position 0 from ``before[n]``.
 
     Each row's loop is one of ``loops``; its stem has ``stem_len`` of up
-    to ``max_stem`` states, and its unroll depth is at most
+    to ``stem_limit[0]`` states, and its unroll depth is at most
     ``max_unroll``.  Only the loops are labeled; the stem layers and the
     stutters follow by :func:`step`.  No group of live stutters outgrows
-    this block's labels at the ``max_stem + loop`` positions of its
-    longest stems: a stem-0 group holds at most ``loop`` entries per
-    loop, the stem stutters (at most one per lasso and layer) ride with
-    the first group, and each layer multiplies entries at most by the
-    number of states, as it does rows.
+    this block's labels at the ``stem + loop`` positions of its longest
+    stems: a stem-0 group holds at most ``loop`` entries per loop, the
+    stem stutters (at most one per lasso and layer) ride with the first
+    group, and each layer multiplies entries at most by the number of
+    states, as it does rows.
 
     The first group builds each stem layer as it reaches it, and
-    ``max_stem`` is read before each layer.  With ``first_only``, a flip
-    on the block's first loop at stem length ``s`` lowers it to ``s``:
-    the search order is loop, stem length, stem, depth, position, so no
-    flip of a longer stem comes first.  The groups walk on, up to
-    stem ``s``, and the first flip is still among those yielded.
+    ``stem_limit[0]`` is read before each layer, so the caller may lower
+    it at a yield: the groups walk on up to the lowered limit.
     """
     n_loops, loop_len, num_atoms = loops.shape
     labels = _root_rows(program, loops, 0, _label_temporal)
@@ -329,8 +329,8 @@ def _flips(program: Program, loops: np.ndarray, max_stem: int,
     groups = _loop_stutters(program, loops, labels, max_unroll,
                             loop_len * n_loops)
     for g, live in enumerate(groups):
-        for s in range(max_stem + 1):
-            if s > max_stem:
+        for s in range(stem_limit[0] + 1):
+            if s > stem_limit[0]:
                 break
             if s and g == 0:  # the first group reaches every layer first
                 vectors, live = _stem_layer(program, states, n_loops,
@@ -345,68 +345,48 @@ def _flips(program: Program, loops: np.ndarray, max_stem: int,
             rows, offsets, moved = live
             hit = moved[-1] != vectors[-1, rows]
             if hit.any():
-                rows, offsets = rows[hit], offsets[hit]
-                if first_only and rows.min() < count**s:
-                    max_stem = s
+                offsets = offsets[hit]
                 k = np.where(offsets < 0, 0, offsets // loop_len + 1)
-                yield s, rows, k, offsets + s, ~moved[-1, hit]
+                yield s, rows[hit], k, offsets + s, ~moved[-1, hit]
 
 
-def _search_unit(program: Program, loops: np.ndarray, first: int,
-                 max_stem: int, max_unroll: int,
-                 first_only: bool = False) -> list[tuple]:
-    """Scan one block of the search space: every lasso whose loop is one
-    of ``loops`` (loop indices ``first`` onwards), after every stem of
-    up to ``max_stem`` states, unrolled up to ``max_unroll`` times.
-
-    Returns candidate tuples ``(loop_idx, stem_len, stem_idx, k, i,
-    before, after)``, at most one per (stem_len, k, i): the first in
-    enumeration order.  They are listed by (stem_len, k, i).  With
-    ``first_only`` only their minimum, the block's first flip, is exact:
-    candidates of stems longer than a flip on the first loop may be
-    missing (see :func:`_flips`).
-    """
-    n_states = 1 << loops.shape[2]
-    found = {}
-    for s, rows, k, i, before in _flips(program, loops, max_stem, max_unroll,
-                                        first_only):
-        # Within a layer the position names the stutter, and each
-        # stutter's entries all live in one group.
-        for ii in np.flatnonzero(np.bincount(i)).tolist():
-            n = np.flatnonzero(i == ii)
-            n = n[np.argmin(rows[n])]
-            loop_idx, stem_idx = divmod(int(rows[n]), n_states**s)
-            found[s, int(k[n]), ii] = (first + loop_idx, s, stem_idx,
-                                       int(k[n]), ii, bool(before[n]),
-                                       not before[n])
-    return [found[key] for key in sorted(found)]
+def _candidate(loops: np.ndarray, first: int, layer: tuple, n: int) -> tuple:
+    """Flip ``n`` of a ``layer`` that :func:`_flips` yields for ``loops``,
+    loop indices ``first`` onwards, as the candidate ``(loop_idx,
+    stem_len, stem_idx, k, i, before)``."""
+    s, rows, k, i, before = layer
+    loop_idx, stem_idx = divmod(int(rows[n]), 1 << loops.shape[2] * s)
+    return (first + loop_idx, s, stem_idx, int(k[n]), int(i[n]),
+            bool(before[n]))
 
 
-def _search_blocks(program: Program, num_atoms: int, bounds: SearchBounds,
-                   beat: list[int] | None = None, first_only: bool = False):
-    """Yield ``(loop_len, candidates)`` per search block, in enumeration
-    order.  With ``beat = [n, l0]``, the unrolled stem and the loop
-    length of a counterexample, only lassos that can rank before it are
-    searched: their unrolled stem ``s + k * l`` is at most ``n``, and
-    less than ``n`` for loops longer than ``l0``.  ``beat`` is read
-    before each block, so the caller may lower it between blocks.
-    ``first_only`` is passed to :func:`_search_unit`.  The bounds are
-    checked before anything is allocated.
+def _first_flip(program: Program, loops: np.ndarray, first: int,
+                bounds: SearchBounds) -> tuple | None:
+    """The first candidate of a block (see :func:`_candidate`) in search
+    order: loop, stem length, stem, unroll depth, position.  Within a
+    layer the row orders loop and stem, and the position orders depth
+    and position.  A flip on the block's first loop at stem length ``s``
+    lowers the stem limit of :func:`_flips` to ``s``, as no flip of a
+    longer stem can come first."""
+    limit, found = [bounds.max_stem], []
+    for layer in _flips(program, loops, limit, bounds.max_unroll):
+        s, rows, _, i, _ = layer
+        found.append(_candidate(loops, first, layer, np.lexsort((i, rows))[0]))
+        if found[-1][0] == first:
+            limit[0] = s
+    return min(found, default=None)
+
+
+def _search_blocks(program: Program, num_atoms: int, bounds: SearchBounds):
+    """Yield ``(loop_len, first, loops)`` per search block, in
+    enumeration order: the loops of ``loop_len`` states from loop index
+    ``first`` on.  The bounds are checked before anything is allocated.
     """
     chunk = _loop_chunk(len(program), num_atoms, bounds)
     for loop_len in range(1, bounds.max_loop + 1):
-        for first in range(0, 1 << num_atoms * loop_len, chunk):
-            max_stem, max_unroll = bounds.max_stem, bounds.max_unroll
-            if beat is not None:
-                n, l0 = beat
-                limit = n if loop_len <= l0 else n - 1
-                if not limit:
-                    break  # a stutter needs an unrolled stem of 1 or more
-                max_stem = min(max_stem, limit)
-                max_unroll = min(max_unroll, limit // loop_len)
-            loops = enumerate_states(num_atoms, loop_len)[first:first + chunk]
-            yield loop_len, _search_unit(program, loops, first, max_stem,
-                                         max_unroll, first_only)
+        loops = enumerate_states(num_atoms, loop_len)
+        for first in range(0, len(loops), chunk):
+            yield loop_len, first, loops[first:first + chunk]
 
 
 _TRUE, _FALSE = ConstTrue(), ConstFalse()
@@ -547,16 +527,16 @@ def _candidate_trace(atom_names: tuple[str, ...], loop_len: int,
 
 def _reconstruct(f: Formula, atom_names: tuple[str, ...], loop_len: int,
                  candidate: tuple) -> Counterexample:
-    i, before, after = candidate[4:]
+    i, before = candidate[4:]
     trace = _candidate_trace(atom_names, loop_len, candidate)
     got_before = eval_formula(f, trace)
     got_after = eval_formula(f, stutter_at(trace, i))
-    if got_before != before or got_after != after or before == after:
+    if got_before != before or got_after == before:
         raise RuntimeError(
             "evaluation routes disagree on a counterexample candidate; "
             "this is a bug"
         )
-    return Counterexample(f, trace, i, before, after)
+    return Counterexample(f, trace, i, before, not before)
 
 
 def falsify(f: Formula,
@@ -568,16 +548,12 @@ def falsify(f: Formula,
     _loop_chunk(nodes, len(atom_names), bounds)
     if not any(kind in _SUCCESSOR for kind, _, _ in program):
         return None  # next-free: closed under stuttering
-    for loop_len, found in _search_blocks(program, len(atom_names), bounds,
-                                          first_only=True):
+    for loop_len, first, loops in _search_blocks(program, len(atom_names),
+                                                 bounds):
+        found = _first_flip(program, loops, first, bounds)
         if found:
-            return _reconstruct(f, atom_names, loop_len, min(found))
+            return _reconstruct(f, atom_names, loop_len, found)
     return None
-
-
-def _candidate_key(loop_len: int, candidate: tuple) -> tuple[int, int, int]:
-    _, stem_len, _, k, i, _, _ = candidate
-    return (stem_len + k * loop_len, loop_len, i)
 
 
 def minimize(cex: Counterexample,
@@ -596,11 +572,13 @@ def minimize(cex: Counterexample,
     each loop length only stems up to that limit and depths up to the
     limit ``// l`` are searched, and a limit of 0 skips the loop length
     (a stutter needs an unrolled stem of at least 1): the cost grows
-    with the input's size, not with the bounds.  After each block the
-    best candidate so far takes the input's place in these limits.  The
-    bounds are still checked whole, before the search is narrowed.  If
-    the best candidate is the input itself (same trace, same stutter
-    position), the input is returned, checked on entry.
+    with the input's size, not with the bounds.  Each block's limits
+    come from the best candidate so far, in the input's place.  Within a
+    stem layer the position orders size, so each layer's least flip by
+    position, then row, is ranked.  The bounds are still checked whole,
+    before the search is narrowed.  If the best candidate is the input
+    itself (same trace, same stutter position), the input is returned,
+    checked on entry.
     """
     if bounds is None:
         bounds = SearchBounds()
@@ -618,24 +596,28 @@ def minimize(cex: Counterexample,
     _loop_chunk(nodes, len(atom_names), bounds)
     size = cex.trace.stem_len
     within = replace(bounds, max_stem=min(bounds.max_stem, size))
-    beat = [size, cex.trace.loop_len]
-    best: tuple | None = None  # ((size key, visit order), loop_len, candidate)
-    for loop_len, found in _search_blocks(program, len(atom_names), within,
-                                          beat):
-        for candidate in found:
-            loop_idx, stem_len, stem_idx, k, i, _, _ = candidate
-            visit = (loop_len, loop_idx, stem_len, stem_idx, k, i)
-            ranked = (_candidate_key(loop_len, candidate), visit)
-            if best is None or ranked < best[0]:
-                best = (ranked, loop_len, candidate)
-        if best is not None:
-            beat[:] = best[0][0][:2]  # never above beat, as searched
+    # (unrolled stem, loop length, position) and then the candidate,
+    # which breaks ties in visit order.
+    ranked = []
+    for loop_len, first, loops in _search_blocks(program, len(atom_names),
+                                                 within):
+        n, l0 = min(ranked)[:2] if ranked else (size, cex.trace.loop_len)
+        limit = n if loop_len <= l0 else n - 1
+        if not limit:
+            continue  # a stutter needs an unrolled stem of 1 or more
+        for layer in _flips(program, loops, [min(within.max_stem, limit)],
+                            min(within.max_unroll, limit // loop_len)):
+            _, rows, _, positions, _ = layer
+            candidate = _candidate(loops, first, layer,
+                                   np.lexsort((rows, positions))[0])
+            _, s, _, k, i, _ = candidate
+            ranked.append((s + k * loop_len, loop_len, i, *candidate))
+    best = min(ranked, default=None)
     own_key = (size, cex.trace.loop_len, cex.stutter_index)
-    if best is None or own_key < best[0][0]:
+    if best is None or own_key < best[:3]:
         return cex
-    _, loop_len, candidate = best
-    if (candidate[4:] == (cex.stutter_index, cex.value_before,
-                          cex.value_after)
+    loop_len, candidate = best[1], best[3:]
+    if (candidate[4:] == (cex.stutter_index, cex.value_before)
             and _candidate_trace(atom_names, loop_len, candidate)
             == cex.trace):
         return cex  # the input itself, checked above
@@ -655,6 +637,9 @@ def cex_to_doc(cex: Counterexample) -> dict:
 def cex_from_doc(doc: dict) -> Counterexample:
     """Inverse of :func:`cex_to_doc`; the values accept 0/1 as well as
     booleans, the stutter index only an integer."""
+    if not isinstance(doc, dict):
+        raise ValueError("counterexample document must be a JSON object, "
+                         f"not {type(doc).__name__}")
     try:
         formula = parse(doc["formula"])
         trace = trace_from_doc(doc["trace"])

@@ -187,11 +187,14 @@ def _doc_cells(rows, label: str, width: int) -> np.ndarray:
 def trace_from_doc(doc: dict) -> LassoTrace:
     """Inverse of :func:`trace_to_doc`; each state value is a boolean or
     0/1, anything else is a ValueError naming the field."""
+    if not isinstance(doc, dict):
+        raise ValueError("trace document must be a JSON object, not "
+                         f"{type(doc).__name__}")
     try:
         atoms = doc["atoms"]
         stem = doc["stem"]
         loop = doc["loop"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"trace document is missing field {exc}") from None
     if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
         raise ValueError("'atoms' must be a list of identifiers")

@@ -188,6 +188,22 @@ def test_proof_document_messages_are_bounded(field, value):
     assert len(str(info.value)) < 200
 
 
+@pytest.mark.parametrize("where", ["root", "premise"])
+@pytest.mark.parametrize("node, kind", [
+    ([], "list"), (None, "NoneType"), ("F a", "str"),
+])
+def test_every_proof_node_must_be_an_object(where, node, kind):
+    doc = proof_to_doc(analyze(parse("F(up a & X b)")).proof)
+    if where == "root":
+        doc = node
+    else:
+        doc["premises"][0] = node
+    with pytest.raises(ValueError, match="^malformed proof document: proof "
+                                         f"node must be a JSON object, not "
+                                         f"{kind}$"):
+        proof_from_doc(doc)
+
+
 def test_render_proof_text_lists_premises_after_their_uses():
     verdict = analyze(parse("F(up a & X b)"))
     lines = render_proof(verdict.proof, format="text").splitlines()

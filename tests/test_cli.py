@@ -171,6 +171,19 @@ def test_a_metavariable_bound_twice_is_a_usage_error(run):
     assert err.startswith("error: metavariable 'yyy") and len(err) < 200
 
 
+@pytest.mark.parametrize("bind, err", [
+    ("=a", "error: binding '=a' names no metavariable\n"),
+    (" =a", "error: binding ' =a' names no metavariable\n"),
+    ("P=", "error: binding 'P=': unexpected end of input: expected a "
+           "formula (at position 0)\n"),
+    ("P=a &", "error: binding 'P=a &': unexpected end of input: expected a "
+              "formula (at position 3)\n"),
+])
+def test_a_bad_binding_is_named_in_its_error(run, bind, err):
+    assert run("pattern", "instantiate", "existence/A/0", "-b", bind) == (
+        2, "", err)
+
+
 def test_pattern_check_reports_every_template(run):
     code, out, _ = run("pattern", "check")
     lines = out.splitlines()
@@ -241,6 +254,17 @@ def test_a_trace_that_is_not_json_is_a_usage_error(run, tmp_path):
                    "value: line 1 column 1 (char 0)\n")
 
 
+@pytest.mark.parametrize("text, kind", [
+    ("[1, 2]", "list"), ("null", "NoneType"), ('"a"', "str"),
+])
+def test_a_trace_that_is_not_a_json_object_is_a_usage_error(run, tmp_path,
+                                                             text, kind):
+    path = tmp_path / "trace.json"
+    path.write_text(text)
+    assert run("eval", "a", str(path)) == (
+        2, "", f"error: trace document must be a JSON object, not {kind}\n")
+
+
 @pytest.mark.parametrize("value,shown", [
     ("2", "2"), ("-1", "-1"), ("1.0", "1.0"), ('"1"', "'1'"), ("null", "None"),
 ])
@@ -267,7 +291,9 @@ def test_a_huge_bad_trace_value_gives_one_short_error_line(run, tmp_path):
     (("pattern", "show", "y" * 100_000), "error: unknown pattern id 'yyy"),
     (("pattern", "instantiate", "existence/D/1", "--bind", "y" * 100_000),
      "error: binding 'yyy"),
-], ids=["pattern-id", "binding"])
+    (("pattern", "instantiate", "existence/A/0", "-b", "P=" + "(" * 100_000),
+     "error: binding 'P=((("),
+], ids=["pattern-id", "binding", "binding-formula"])
 def test_a_huge_bad_argument_gives_one_short_error_line(run, argv, start):
     code, out, err = run(*argv)
     assert (code, out) == (2, "")

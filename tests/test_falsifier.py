@@ -19,12 +19,12 @@ from ltledge.batch import compile_formula, enumerate_states, label_block
 from ltledge.falsifier import (
     Counterexample,
     SearchBounds,
-    _candidate_key,
+    _first_flip,
     _flips,
     _loop_chunk,
+    _loop_stutters,
     _reconstruct,
     _search_blocks,
-    _search_unit,
     _stem_layer,
     cex_from_doc,
     cex_to_doc,
@@ -131,6 +131,28 @@ def _record_stem_layers(monkeypatch) -> list[int]:
     return built
 
 
+def _block_flips(program, loops, first, max_stem, max_unroll):
+    """Every flip of a search block, by draining ``_flips`` with a fixed
+    stem limit, as candidates in search order."""
+    found = []
+    for s, rows, k, i, before in _flips(program, loops, [max_stem],
+                                        max_unroll):
+        loop_idx, stem_idx = np.divmod(rows, 1 << loops.shape[2] * s)
+        found += zip((first + loop_idx).tolist(), [s] * rows.size,
+                     stem_idx.tolist(), k.tolist(), i.tolist(),
+                     before.tolist())
+    return sorted(found)
+
+
+def _search_flips(program, num_atoms, bounds):
+    """``(loop_len, every flip of the block)`` per block of the whole
+    bounded search."""
+    return [(loop_len, _block_flips(program, loops, first, bounds.max_stem,
+                                    bounds.max_unroll))
+            for loop_len, first, loops in _search_blocks(program, num_atoms,
+                                                         bounds)]
+
+
 def test_falsify_stops_at_a_first_flip_no_longer_stem_can_beat(monkeypatch):
     built = _record_stem_layers(monkeypatch)
     cex = falsify(parse("X a"))
@@ -158,12 +180,11 @@ def test_minimize_searches_longer_loops_only_below_its_input(monkeypatch):
     assert (cex.trace.stem_len, cex.trace.loop_len) == (2, 1)
     searched = []
 
-    def recording(program, loops, first, max_stem, max_unroll, first_only):
-        searched.append((loops.shape[1], max_stem, max_unroll))
-        return _search_unit(program, loops, first, max_stem, max_unroll,
-                            first_only)
+    def recording(program, loops, stem_limit, max_unroll):
+        searched.append((loops.shape[1], stem_limit[0], max_unroll))
+        return _flips(program, loops, stem_limit, max_unroll)
 
-    monkeypatch.setattr(falsifier, "_search_unit", recording)
+    monkeypatch.setattr(falsifier, "_flips", recording)
     small = minimize(cex)
     # The loop-1 block finds a stem of 1 with one loop state; a longer
     # loop would need an unrolled stem below 1, so none is searched.
@@ -222,8 +243,8 @@ def test_a_plan_walks_its_formula_once(monkeypatch):
 
 def test_the_first_flip_cut_is_exact():
     # falsify settles each block at a first flip on its first loop; its
-    # answer is still the smallest candidate of the first block that has
-    # any, in the search that builds every stem layer.
+    # answer is still the least flip of the first block that has any, in
+    # the search that builds every stem layer.
     rng = random.Random(43)
     formulas = [gen_formula(rng, 4, ("p", "q")) for _ in range(300)]
     formulas += [gen_formula(rng, 4, ("p", "q", "r")) for _ in range(12)]
@@ -232,35 +253,45 @@ def test_the_first_flip_cut_is_exact():
         atom_names = atoms_of(f) or ("p",)
         program = compile_formula(f, atom_names)
         want = None
-        for loop_len, found in _search_blocks(program, len(atom_names),
-                                              SearchBounds()):
+        for loop_len, found in _search_flips(program, len(atom_names),
+                                             SearchBounds()):
             if found:
-                want = _reconstruct(f, atom_names, loop_len, min(found))
+                want = _reconstruct(f, atom_names, loop_len, found[0])
                 break
         assert falsify(f) == want, render(f)
         refuted += want is not None
     assert refuted > 50
 
 
-def test_the_first_flip_cut_keeps_each_blocks_first_flip():
+def test_the_first_flip_cut_keeps_each_blocks_first_flip(monkeypatch):
     # Over two atoms each loop length of the test above is one block,
     # whose first loop is constant, and no stutter inside a constant loop
     # flips anything: the cut there only meets stem stutters.  Blocks
     # that start at every other two-state loop, at unroll depth 4, also
     # cut on loop stutters, in groups walked after the one that cut.
+    seen = []
+
+    def counting(*args):
+        for layer in _flips(*args):
+            seen.append(layer[1].size)
+            yield layer
+
     rng = random.Random(47)
     loops = enumerate_states(2, 2)
+    bounds = SearchBounds(max_stem=3, max_unroll=4)
     blocks = cut = 0
     for _ in range(200):
         program = compile_formula(gen_formula(rng, 4, ("p", "q")), ("p", "q"))
         for first in range(1, 16):
             block = loops[first:]
-            full = _search_unit(program, block, first, 3, 4)
+            full = _block_flips(program, block, first, 3, 4)
             if full:
-                got = _search_unit(program, block, first, 3, 4, True)
-                assert min(got) == min(full)
+                seen.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(falsifier, "_flips", counting)
+                    assert _first_flip(program, block, first, bounds) == full[0]
                 blocks += 1
-                cut += len(got) < len(full)
+                cut += sum(seen) < len(full)
     assert blocks > 800 and cut > 700
 
 
@@ -316,8 +347,8 @@ def test_the_fold_is_exact():
         if searched < 300:
             searched += 1
             atom_names = atoms_of(f) or ("p",)
-            want, got = (list(_search_blocks(compile_formula(h, atom_names),
-                                             len(atom_names), SearchBounds()))
+            want, got = (_search_flips(compile_formula(h, atom_names),
+                                       len(atom_names), SearchBounds())
                          for h in (f, g))
             assert got == want, (render(f), render(g))
     assert folded > 600 and searched == 300
@@ -353,7 +384,7 @@ def test_next_free_programs_have_no_candidates():
             f = gen_formula(rng, 4, atoms, next_free=True)
             atom_names = atoms_of(f) or ("p",)
             program = compile_formula(f, atom_names)
-            blocks = _search_blocks(program, len(atom_names), SearchBounds())
+            blocks = _search_flips(program, len(atom_names), SearchBounds())
             assert not any(found for _, found in blocks), render(f)
 
 
@@ -424,16 +455,10 @@ def test_search_size_is_checked_before_allocating(monkeypatch):
     deep = SearchBounds(max_unroll=50)
     program = compile_formula(parse("a & b & c"), atoms)
     assert _loop_chunk(len(program), len(atoms), deep) == 32
-    sizes = []
-
-    def recording(program, loops, *rest):
-        sizes.append(loops.shape[0])
-        return []
-
-    monkeypatch.setattr(falsifier, "_search_unit", recording)
-    assert len(list(_search_blocks(program, len(atoms), deep))) == 19
+    sizes = [loops.shape[0]
+             for _, _, loops in _search_blocks(program, len(atoms), deep)]
+    assert len(sizes) == 19
     assert sizes == [8] + [32] * 18  # 2**3 loops of one state
-    monkeypatch.undo()
     assert falsify(parse("a & b & c"), deep) is None
 
 
@@ -475,6 +500,15 @@ def test_counterexample_document_messages_are_bounded(field):
     assert len(str(info.value)) < 200
 
 
+@pytest.mark.parametrize("doc, kind", [
+    ([], "list"), (None, "NoneType"), ("X a", "str"),
+])
+def test_a_counterexample_document_must_be_an_object(doc, kind):
+    with pytest.raises(ValueError, match="^counterexample document must be "
+                                         f"a JSON object, not {kind}$"):
+        cex_from_doc(doc)
+
+
 def test_counterexample_document_missing_field():
     doc = cex_to_doc(falsify(parse("X a")))
     del doc["value_after"]
@@ -509,8 +543,9 @@ def test_random_counterexamples_are_genuine():
 
 
 def _explicit_unit(f, atom_names, bounds, loop_len, chunk_start, chunk_size):
-    """``_search_unit`` by explicit relabeling: every unrolled, stuttered
-    copy of every lasso is built and labeled from scratch."""
+    """Every flip of a search block by explicit relabeling: every
+    unrolled, stuttered copy of every lasso is built and labeled from
+    scratch.  Candidates in search order."""
     loops = enumerate_states(len(atom_names), loop_len)
     loops = loops[chunk_start : chunk_start + chunk_size]
     found = []
@@ -528,20 +563,25 @@ def _explicit_unit(f, atom_names, bounds, loop_len, chunk_start, chunk_size):
                 stuttered = np.insert(unrolled, i + 1, unrolled[:, i, :],
                                       axis=1)
                 vals = label_block(f, atom_names, stuttered, row_loops)
-                flips = np.flatnonzero(base != vals)
-                if flips.size:
-                    r = int(flips[0])
+                for r in np.flatnonzero(base != vals).tolist():
                     found.append((chunk_start + r // n_stems, stem_len,
-                                  r % n_stems, k, i, bool(base[r]),
-                                  bool(vals[r])))
-    return found
+                                  r % n_stems, k, i, bool(base[r])))
+    return sorted(found)
 
 
-def test_search_units_match_explicit_relabeling():
-    rng = random.Random(23)
-    bounds = SearchBounds(max_stem=2, max_loop=2, max_unroll=2)
-    texts = ["X a", "up a U b", "G(up a -> X b | c)", "F(!a & X a & X b)"]
-    texts += [render(gen_formula(rng, 4, ("p", "q"))) for _ in range(40)]
+def _relabel_hits(monkeypatch, texts, bounds):
+    """Check every block of the search of each formula in ``texts``
+    against :func:`_explicit_unit`; the number of blocks with a flip and
+    the most groups of live stutters any block walked."""
+    groups = []
+
+    def counting(*args):
+        groups.append(0)
+        for live in _loop_stutters(*args):
+            groups[-1] += 1
+            yield live
+
+    monkeypatch.setattr(falsifier, "_loop_stutters", counting)
     hits = 0
     for text in texts:
         f = parse(text)
@@ -552,14 +592,39 @@ def test_search_units_match_explicit_relabeling():
                   for loop_len in range(1, bounds.max_loop + 1)
                   for start in range(0, 1 << len(atom_names) * loop_len,
                                      chunk)]
-        blocks = _search_blocks(program, len(atom_names), bounds)
+        blocks = _search_flips(program, len(atom_names), bounds)
         for (loop_len, found), (want_len, start) in zip(blocks, starts,
                                                         strict=True):
             want = _explicit_unit(f, atom_names, bounds, loop_len, start,
                                   chunk)
             assert (loop_len, found) == (want_len, want), (text, start)
             hits += bool(want)
+    return hits, max(groups)
+
+
+def test_search_units_match_explicit_relabeling(monkeypatch):
+    rng = random.Random(23)
+    bounds = SearchBounds(max_stem=2, max_loop=2, max_unroll=2)
+    texts = ["X a", "up a U b", "G(up a -> X b | c)", "F(!a & X a & X b)"]
+    texts += [render(gen_formula(rng, 4, ("p", "q"))) for _ in range(40)]
+    hits, _ = _relabel_hits(monkeypatch, texts, bounds)
     assert hits > 20
+
+
+def test_split_stutter_groups_match_explicit_relabeling(monkeypatch):
+    # Unrolled four times, the live stutters of a two-state loop outgrow
+    # a group and split: the entries so far walk down to position 0 on
+    # their own, and the later groups move through the stem layers on
+    # their own.  Of these formulas, only the last one's flips change if
+    # that walk skips its final step.
+    bounds = SearchBounds(max_stem=2, max_loop=2, max_unroll=4)
+    texts = ["G !down edge(p | q)", "F down edge p",
+             "G(X down q | ((false <-> p) & down p | q))",
+             "edge(G edge(p & q) & q)",
+             "G(edge down p <-> up p | (q | p)) U edge((up false <-> q) "
+             "<-> down p)"]
+    hits, groups = _relabel_hits(monkeypatch, texts, bounds)
+    assert hits == 6 and groups > 1
 
 
 @pytest.mark.parametrize("stems", [3, 0])
@@ -579,12 +644,12 @@ def test_minimize_agrees_with_the_search_of_the_whole_bounds(stems):
         atom_names = atoms_of(f) or ("p",)
         ranked = []
         program = compile_formula(f, atom_names)
-        for loop_len, found in _search_blocks(program, len(atom_names),
-                                              bounds):
+        for loop_len, found in _search_flips(program, len(atom_names),
+                                             bounds):
             for c in found:
-                visit = (loop_len, c[0], c[1], c[2], c[3], c[4])
-                ranked.append(((_candidate_key(loop_len, c), visit),
-                               loop_len, c))
+                _, stem_len, _, k, i, _ = c
+                key = (stem_len + k * loop_len, loop_len, i)
+                ranked.append(((key, (loop_len, *c[:5])), loop_len, c))
         if not ranked:
             continue
         (key, _), loop_len, c = min(ranked)
@@ -640,7 +705,7 @@ def test_one_step_sweep_agrees_with_explicit_relabeling(f, t, k, data):
     flipped = any(
         s == t.stem_len and (row, depth, i) in zip(rows.tolist(), ks.tolist(),
                                                    positions.tolist())
-        for s, rows, ks, positions, _ in _flips(program, loop, t.stem_len,
+        for s, rows, ks, positions, _ in _flips(program, loop, [t.stem_len],
                                                 depth))
     before, after = (
         label_block(f, t.atoms,

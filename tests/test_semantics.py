@@ -199,6 +199,15 @@ def test_malformed_trace_documents_are_value_errors(doc):
         trace_from_doc(doc)
 
 
+@pytest.mark.parametrize("doc, kind", [
+    ([1, 2], "list"), (None, "NoneType"), ("ab", "str"), (5, "int"),
+])
+def test_a_trace_document_must_be_an_object(doc, kind):
+    with pytest.raises(ValueError, match="^trace document must be a JSON "
+                                         f"object, not {kind}$"):
+        trace_from_doc(doc)
+
+
 def test_loaded_trace_shares_one_read_only_cell_array():
     doc = {"atoms": ["a", "b"], "stem": [[0, 1], [True, False]],
            "loop": [[1, 1]]}
