@@ -495,7 +495,11 @@ def proof_from_doc(doc: dict) -> ProofTree:
                                 f"{reprlib.repr(premises)}")
             if "note" in d and not isinstance(note, str):
                 raise TypeError(f"note is not a string: {reprlib.repr(note)}")
-            order.append((d, rule, parse(d["conclusion"]), premises, note))
+            conclusion = d["conclusion"]
+            if not isinstance(conclusion, str):
+                raise TypeError("conclusion must be a string, not "
+                                f"{reprlib.repr(conclusion)}")
+            order.append((d, rule, parse(conclusion), premises, note))
             todo += reversed(premises)
         built = {}
         for d, rule, conclusion, premises, note in reversed(order):

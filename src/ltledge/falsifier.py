@@ -20,7 +20,11 @@ the node vectors at position 0 of every lasso with a stem one state
 longer are one backward ``batch.step`` from the layer before, which
 broadcasts its tails under every state ``x`` (:func:`_stem_layer`), so
 no letter or tail is copied per row; no stuttered copy is built and no
-stem position is labeled.
+stem position is labeled.  The layers before the last are kept for the
+stutters that follow.  The last layer of a full block, of
+``_CHUNK_TARGET_ROWS`` lassos or more, is built and searched one
+prepended state ``x`` at a time and is not kept, so it is never held
+whole; smaller last layers are searched whole.
 
 A stutter is followed as a live entry: a lasso, the stutter position,
 and the stuttered word's node vector.  Duplicating position ``i``
@@ -217,25 +221,29 @@ def _still_moved(program: Program, letter: np.ndarray, original: np.ndarray,
 
 
 def _stem_layer(program: Program, states: np.ndarray, n_loops: int,
-               vectors: np.ndarray, s: int, live: _Live
-               ) -> tuple[np.ndarray, _Live]:
+                vectors: np.ndarray, s: int, live: _Live, fresh: bool = True
+                ) -> tuple[np.ndarray, _Live]:
     """The stem layer of length ``s + 1`` from ``vectors``, the node
     vectors at position 0 of the lassos of stem length ``s``: its own
-    vectors there, and ``live`` moved onto it joined by the live
-    stutters of its position 0.
+    vectors there, and ``live`` moved onto it joined, if ``fresh``, by
+    the live stutters of its position 0.
 
-    ``states`` holds the letters of every state, one column each.  Lasso
-    ``(x u, v)`` has ``(u, v)`` as its suffix, so the layer is one
-    broadcast :func:`step` of the tails, viewed as (nodes, loops, 1,
-    stems), under the states, viewed as (atoms, 1, states, 1).  The new
-    stutters are found after ``live`` has moved, so the two steps never
-    hold their temporaries at once.
+    ``states`` holds the letters of the states prepended, one column
+    each: every state, or a column slice of them, whose part of the
+    layer is numbered as if those were all the states (see
+    :func:`_prepend`).  Lasso ``(x u, v)`` has ``(u, v)`` as its suffix,
+    so the layer is one broadcast :func:`step` of the tails, viewed as
+    (nodes, loops, 1, stems), under the states, viewed as (atoms, 1,
+    states, 1).  The new stutters are found after ``live`` has moved, so
+    the two steps never hold their temporaries at once.
     """
     letter = states[:, None, :, None]
-    vectors = step(program, letter,
-                   vectors.reshape(len(program), n_loops, 1, -1))
+    tails = vectors.reshape(len(program), n_loops, 1, -1)
+    vectors = step(program, letter, tails)
     flat = vectors.reshape(len(program), -1)
-    live = _prepend(program, states, states.shape[1] ** s, flat, live)
+    live = _prepend(program, states, tails.shape[-1], flat, live)
+    if not fresh:
+        return flat, live
     return flat, _joined(live,
                          _live(*_diverging(program, letter, vectors), -s - 1))
 
@@ -244,9 +252,11 @@ def _prepend(program: Program, states: np.ndarray, stems: int,
              vectors: np.ndarray, live: _Live) -> _Live:
     """Move ``live`` from a layer of ``stems`` stems per loop to position
     0 of the next one, whose vectors are ``vectors``: the entry of row
-    ``(u, v)`` goes to row ``(x u, v)`` for every state ``x``, by one
-    broadcast :func:`step` of the live vectors, viewed as (nodes, 1,
-    entries), under the states, viewed as (atoms, states, 1)."""
+    ``(u, v)`` goes to row ``(x u, v)`` for every state ``x`` of
+    ``states``, by one broadcast :func:`step` of the live vectors, viewed
+    as (nodes, 1, entries), under the states, viewed as (atoms, states,
+    1).  Rows count the columns of ``states`` as all the states, so a
+    column slice of them numbers its own part of the layer."""
     rows, offsets, moved = live
     if not rows.size:
         return live
@@ -303,9 +313,9 @@ def _loop_stutters(program: Program, loops: np.ndarray, labels: np.ndarray,
 def _flips(program: Program, loops: np.ndarray, stem_limit: list[int],
            max_unroll: int):
     """Yield ``(stem_len, rows, k, i, before)`` for the stutters that
-    flip the root, per layer that has any: the stutter at position
-    ``i[n]`` of the lasso of row ``rows[n]``, unrolled ``k[n]`` times,
-    flips its value at position 0 from ``before[n]``.
+    flip the root, per part of a layer that has any: the stutter at
+    position ``i[n]`` of the lasso of row ``rows[n]``, unrolled ``k[n]``
+    times, flips its value at position 0 from ``before[n]``.
 
     Each row's loop is one of ``loops``; its stem has ``stem_len`` of up
     to ``stem_limit[0]`` states, and its unroll depth is at most
@@ -319,7 +329,12 @@ def _flips(program: Program, loops: np.ndarray, stem_limit: list[int],
 
     The first group builds each stem layer as it reaches it, and
     ``stem_limit[0]`` is read before each layer, so the caller may lower
-    it at a yield: the groups walk on up to the lowered limit.
+    it at a yield: the groups walk on up to the lowered limit.  Every
+    layer but the last is kept whole for the later groups.  The last
+    one, when it has ``_CHUNK_TARGET_ROWS`` rows or more, is built,
+    moved into and searched one prepended state at a time, and never
+    kept: a later group rebuilds its parts from the layer before.  Its
+    rows are yielded numbered in the whole layer.
     """
     n_loops, loop_len, num_atoms = loops.shape
     labels = _root_rows(program, loops, 0, _label_temporal)
@@ -330,24 +345,34 @@ def _flips(program: Program, loops: np.ndarray, stem_limit: list[int],
                             loop_len * n_loops)
     for g, live in enumerate(groups):
         for s in range(stem_limit[0] + 1):
-            if s > stem_limit[0]:
+            if s > stem_limit[0] or g and not live[0].size:
                 break
-            if s and g == 0:  # the first group reaches every layer first
+            stems = count ** (s - 1) if s else 0  # per loop in layer s - 1
+            if s < len(layers):  # stem 0, or a layer the first group kept
+                if s:
+                    live = _prepend(program, states, stems, layers[s], live)
+                parts = [(None, layers[s], live)]
+            elif (s < stem_limit[0]
+                  or n_loops * count ** s < _CHUNK_TARGET_ROWS):
                 vectors, live = _stem_layer(program, states, n_loops,
                                             layers[-1], s - 1, live)
                 layers.append(vectors)
-            elif s:
-                live = _prepend(program, states, count ** (s - 1), layers[s],
-                                live)
-                if not live[0].size:
-                    break
-            vectors = layers[s]
-            rows, offsets, moved = live
-            hit = moved[-1] != vectors[-1, rows]
-            if hit.any():
-                offsets = offsets[hit]
+                parts = [(None, vectors, live)]
+            else:  # the last layer, one prepended state x at a time
+                parts = ((x, *_stem_layer(program, states[:, x:x + 1],
+                                          n_loops, layers[-1], s - 1, live,
+                                          fresh=g == 0))
+                         for x in range(count))
+            for x, vectors, (rows, offsets, moved) in parts:
+                hit = moved[-1] != vectors[-1, rows]
+                if not hit.any():
+                    continue
+                rows, offsets = rows[hit], offsets[hit]
+                if x is not None:  # (loop, stem) in the part of x
+                    loop, stem = np.divmod(rows, stems)
+                    rows = (loop * count + x) * stems + stem
                 k = np.where(offsets < 0, 0, offsets // loop_len + 1)
-                yield s, rows[hit], k, offsets + s, ~moved[-1, hit]
+                yield s, rows, k, offsets + s, ~moved[-1, hit]
 
 
 def _candidate(loops: np.ndarray, first: int, layer: tuple, n: int) -> tuple:
@@ -453,8 +478,10 @@ def _loop_chunk(nodes: int, num_atoms: int, bounds: SearchBounds) -> int:
     A block covers (loop chunk) x (every stem of up to ``max_stem``
     states) lassos.  It is sized as their labels at the ``stem + loop``
     canonical positions of the longest stem, one byte per program node
-    each, which no array of the block outgrows (see :func:`_flips`);
-    the unroll depth costs no memory.  The chunk aims at
+    each, which no array of the block outgrows (see :func:`_flips`; its
+    last stem layer, one node vector per lasso, is not even held whole
+    once it reaches ``_CHUNK_TARGET_ROWS`` lassos, as a full block's
+    does); the unroll depth costs no memory.  The chunk aims at
     ``_CHUNK_TARGET_ROWS`` lassos per block and shrinks only for a
     program whose block would go over the budget.  Raises ValueError,
     before anything is allocated, when the block of a single loop or
@@ -641,7 +668,11 @@ def cex_from_doc(doc: dict) -> Counterexample:
         raise ValueError("counterexample document must be a JSON object, "
                          f"not {type(doc).__name__}")
     try:
-        formula = parse(doc["formula"])
+        text = doc["formula"]
+        if not isinstance(text, str):
+            raise TypeError("formula must be a string, not "
+                            f"{reprlib.repr(text)}")
+        formula = parse(text)
         trace = trace_from_doc(doc["trace"])
         index = doc["stutter_index"]
         before = doc["value_before"]

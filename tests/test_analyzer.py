@@ -167,12 +167,16 @@ def test_proof_document_round_trip():
 
 @pytest.mark.parametrize("field,value", [
     ("note", 5), ("note", None), ("premises", "ab"),
+    ("conclusion", 5), ("conclusion", ["F a"]),
 ])
 def test_proof_document_field_types_are_checked(field, value):
-    doc = proof_to_doc(analyze(parse("F(up a & X b)")).proof)
-    doc["premises"][0][field] = value
-    with pytest.raises(ValueError, match=f"^malformed proof document: {field}"):
-        proof_from_doc(doc)
+    for where in ("root", "premise"):
+        doc = proof_to_doc(analyze(parse("F(up a & X b)")).proof)
+        node = doc if where == "root" else doc["premises"][0]
+        node[field] = value
+        with pytest.raises(ValueError,
+                           match=f"^malformed proof document: {field}"):
+            proof_from_doc(doc)
 
 
 @pytest.mark.parametrize("field,value", [

@@ -123,9 +123,10 @@ def _record_stem_layers(monkeypatch) -> list[int]:
     """Record the stem length of each stem layer the search builds."""
     built = []
 
-    def recording(program, states, n_loops, vectors, s, live):
+    def recording(program, states, n_loops, vectors, s, live, **kwargs):
         built.append(s + 1)
-        return _stem_layer(program, states, n_loops, vectors, s, live)
+        return _stem_layer(program, states, n_loops, vectors, s, live,
+                           **kwargs)
 
     monkeypatch.setattr(falsifier, "_stem_layer", recording)
     return built
@@ -472,6 +473,8 @@ def test_counterexample_document_round_trip():
 
 
 @pytest.mark.parametrize("field,value", [
+    ("formula", 5),
+    ("formula", ["X a"]),
     ("value_before", "false"),
     ("value_after", "true"),
     ("value_before", 2),
@@ -486,12 +489,13 @@ def test_counterexample_document_field_types_are_checked(field, value):
     doc = cex_to_doc(falsify(parse("X a")))
     doc[field] = value
     with pytest.raises(ValueError,
-                       match=f"^malformed counterexample document: {field} "):
+                       match=f"^malformed counterexample document: {field} "
+                             "must be "):
         cex_from_doc(doc)
 
 
 @pytest.mark.parametrize("field", ["stutter_index", "value_before",
-                                   "value_after"])
+                                   "value_after", "formula"])
 def test_counterexample_document_messages_are_bounded(field):
     doc = cex_to_doc(falsify(parse("X a")))
     doc[field] = [0] * 200_000
@@ -611,20 +615,71 @@ def test_search_units_match_explicit_relabeling(monkeypatch):
     assert hits > 20
 
 
+# Unrolled four times, the live stutters of a two-state loop outgrow a
+# group and split: the entries so far walk down to position 0 on their
+# own, and the later groups move through the stem layers on their own.
+# Of these formulas, only the last one's flips change if that walk skips
+# its final step.
+SPLIT_BOUNDS = SearchBounds(max_stem=2, max_loop=2, max_unroll=4)
+SPLIT_TEXTS = [
+    "G !down edge(p | q)", "F down edge p",
+    "G(X down q | ((false <-> p) & down p | q))",
+    "edge(G edge(p & q) & q)",
+    "G(edge down p <-> up p | (q | p)) U edge((up false <-> q) <-> down p)",
+]
+
+
 def test_split_stutter_groups_match_explicit_relabeling(monkeypatch):
-    # Unrolled four times, the live stutters of a two-state loop outgrow
-    # a group and split: the entries so far walk down to position 0 on
-    # their own, and the later groups move through the stem layers on
-    # their own.  Of these formulas, only the last one's flips change if
-    # that walk skips its final step.
-    bounds = SearchBounds(max_stem=2, max_loop=2, max_unroll=4)
-    texts = ["G !down edge(p | q)", "F down edge p",
-             "G(X down q | ((false <-> p) & down p | q))",
-             "edge(G edge(p & q) & q)",
-             "G(edge down p <-> up p | (q | p)) U edge((up false <-> q) "
-             "<-> down p)"]
-    hits, groups = _relabel_hits(monkeypatch, texts, bounds)
+    hits, groups = _relabel_hits(monkeypatch, SPLIT_TEXTS, SPLIT_BOUNDS)
     assert hits == 6 and groups > 1
+
+
+def _slice_last_layers(monkeypatch) -> list[bool]:
+    """Lower the size from which a last stem layer is searched one
+    prepended state at a time to 2**4 rows, so that every 2-atom last
+    layer of two stems or more is, and record ``fresh`` for each
+    one-state part built: False where a later group rebuilds it."""
+    parts = []
+
+    def recording(program, states, *args, **kwargs):
+        if states.shape[1] == 1:
+            parts.append(kwargs.get("fresh", True))
+        return _stem_layer(program, states, *args, **kwargs)
+
+    monkeypatch.setattr(falsifier, "_CHUNK_TARGET_ROWS", 1 << 4)
+    monkeypatch.setattr(falsifier, "_stem_layer", recording)
+    return parts
+
+
+def test_a_sliced_last_layer_keeps_every_flip(monkeypatch):
+    # At this size the search blocks hold one loop each, so the flips of
+    # the whole search are compared, not those of each block.
+    rng = random.Random(31)
+    bounds = SearchBounds(max_stem=3, max_loop=2, max_unroll=2)
+    formulas = [gen_formula(rng, 4, ("p", "q")) for _ in range(200)]
+
+    def search(f):
+        atom_names = atoms_of(f) or ("p",)
+        program = compile_formula(f, atom_names)
+        flips = sorted((loop_len, *c) for loop_len, found
+                       in _search_flips(program, len(atom_names), bounds)
+                       for c in found)
+        cex = falsify(f, bounds)
+        return flips, cex, cex and minimize(cex, bounds)
+
+    whole = [search(f) for f in formulas]
+    parts = _slice_last_layers(monkeypatch)
+    assert [search(f) for f in formulas] == whole
+    assert True in parts and False in parts
+    assert sum(bool(flips) for flips, _, _ in whole) > 50
+
+
+def test_sliced_last_layers_of_split_groups_match_explicit_relabeling(
+        monkeypatch):
+    parts = _slice_last_layers(monkeypatch)
+    hits, groups = _relabel_hits(monkeypatch, SPLIT_TEXTS, SPLIT_BOUNDS)
+    assert hits == 41 and groups > 1
+    assert True in parts and False in parts
 
 
 @pytest.mark.parametrize("stems", [3, 0])
@@ -748,17 +803,19 @@ def test_live_stutters_stay_within_a_block():
     assert peak <= 14.9 * 2**20
 
 
-@pytest.mark.parametrize("text, mib", [
-    ("G(up !p -> X q | r)", 5.2),
-    ("F(up !p & X !r & !q)", 6.0),
-    ("F(!p & X p & X(r & q))", 6.0),
-    ("(!up p | X r | !q) U (up !q & X r & q)", 7.5),
+@pytest.mark.parametrize("text", [
+    "G(up !p -> X q | r)",
+    "F(up !p & X !r & !q)",
+    "F(!p & X p & X(r & q))",
+    "(!up p | X r | !q) U (up !q & X r & q)",
 ])
-def test_a_full_search_copies_nothing_per_row(text, mib):
+def test_a_full_search_copies_nothing_per_row(text):
     # Four closed 3-atom schema shapes, searched whole at the default
     # bounds.  Each stem layer and each move of the live stutters is one
-    # broadcast step; copying the letters, tails and live vectors per row
-    # peaked at 6.2, 7.1, 7.1 and 9.0 MiB.
+    # broadcast step, and the last layer of a full block is searched one
+    # prepended state at a time.  Copying the letters, tails and live
+    # vectors per row peaked at 6.2, 7.1, 7.1 and 9.0 MiB, and holding the
+    # whole last layer at 4.2, 4.8, 4.8 and 5.9 MiB.
     f = parse(text)
     falsify(f, SearchBounds(max_stem=0, max_loop=1))  # plans f
     tracemalloc.start()
@@ -767,7 +824,7 @@ def test_a_full_search_copies_nothing_per_row(text, mib):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= mib * 2**20
+    assert peak <= 2.5 * 2**20
 
 
 GOLDEN_SEED = 17
