@@ -32,7 +32,9 @@ cross-check, and the falsifier's re-check of its candidates, meaningful.
 
 Every node's value at a position is a function of the letter there, its
 children's values there, and the node vector at the next position; that
-one-position form of the program is :func:`step`.
+one-position form of the program is :func:`step`.  Both it and
+:func:`_root_rows` write each node's row in place, by the node class's
+NumPy ufunc (``_UFUNC``) with ``out=``, so no node makes a temporary.
 """
 
 from __future__ import annotations
@@ -67,30 +69,29 @@ from .formula import (
 # post-order; unused slots are -1.
 Program = tuple[tuple[type, int, int], ...]
 
-# Node class -> value from the children's values at the same position.
-_POINTWISE = {
-    ConstTrue: lambda a, b: True,
-    ConstFalse: lambda a, b: False,
-    Not: lambda a, b: ~a,
-    And: lambda a, b: a & b,
-    Or: lambda a, b: a | b,
-    Implies: lambda a, b: ~a | b,
-    Iff: lambda a, b: a == b,
+# Node class -> the NumPy ufunc that writes the node's row in place
+# (``out=``).  A connective reads its children's rows at the same position
+# (``Not`` has one child), an edge its child's rows now and at the next
+# position, and ``F``/``G`` the child's row now and the node's own row at
+# the next position.  ``U`` is ``b | (a & next)``: its ufunc writes
+# ``a & next`` into the row, and ``logical_or`` then adds ``b``.  Atoms,
+# constants and ``X`` are copies and have no entry.
+_UFUNC = {
+    Not: np.logical_not,
+    And: np.logical_and,
+    Or: np.logical_or,
+    Implies: np.less_equal,
+    Iff: np.equal,
+    RiseEdge: np.less,
+    FallEdge: np.greater,
+    AnyEdge: np.not_equal,
+    Eventually: np.logical_or,
+    Always: np.logical_and,
+    Until: np.logical_and,
 }
-# Node class -> value from the child's values now and at the next position.
-_SUCCESSOR = {
-    Next: lambda now, nxt: nxt,
-    RiseEdge: lambda now, nxt: ~now & nxt,
-    FallEdge: lambda now, nxt: now & ~nxt,
-    AnyEdge: lambda now, nxt: now != nxt,
-}
-# Node class -> value from the children's values now and the node's own
-# value at the next position.
-_RECURRENCE = {
-    Eventually: lambda a, b, nxt: a | nxt,
-    Always: lambda a, b, nxt: a & nxt,
-    Until: lambda a, b, nxt: b | (a & nxt),
-}
+_CONNECTIVES = frozenset((And, Or, Implies, Iff))
+# Node classes whose value reads the child's value at the next position.
+_SUCCESSOR = frozenset((Next, RiseEdge, FallEdge, AnyEdge))
 
 
 @lru_cache(maxsize=64)
@@ -132,7 +133,7 @@ def compile_formula(f: Formula, atoms: tuple[str, ...]) -> Program:
         kind = type(g)
         if kind is Atom:
             args = [column[g.name]]
-        elif kind in _POINTWISE or kind in _SUCCESSOR or kind in _RECURRENCE:
+        elif kind in _UFUNC or kind in (Next, ConstTrue, ConstFalse):
             args = [slots[c] for c in children_of(g)]
         else:
             raise TypeError(f"not a formula: {g!r}")
@@ -146,19 +147,31 @@ def step(program: Program, letter: np.ndarray, nxt: np.ndarray) -> np.ndarray:
 
     ``letter`` has shape (atoms, *a) and ``nxt``, the node vectors at the
     next position, (nodes, *b); the result has shape (nodes, *c), where
-    ``a`` and ``b`` broadcast to ``c``.
+    ``a`` and ``b`` broadcast to ``c``.  Each node is written in place into
+    its row of the result, so no temporary is made per node.
     """
     shape = np.broadcast(letter[0], nxt[0]).shape
     cur = np.empty((len(program), *shape), dtype=bool)
     for slot, (kind, a, b) in enumerate(program):
+        out = cur[slot]
+        rule = _UFUNC.get(kind)
         if kind is Atom:
-            cur[slot] = letter[a]
-        elif kind in _POINTWISE:
-            cur[slot] = _POINTWISE[kind](cur[a], cur[b])
+            out[...] = letter[a]
+        elif kind in _CONNECTIVES:
+            rule(cur[a], cur[b], out=out)
         elif kind in _SUCCESSOR:
-            cur[slot] = _SUCCESSOR[kind](cur[a], nxt[a])
+            if rule is None:  # Next
+                out[...] = nxt[a]
+            else:
+                rule(cur[a], nxt[a], out=out)
+        elif rule is None:  # a constant
+            out[...] = kind is ConstTrue
+        elif kind is Not:
+            rule(cur[a], out=out)
         else:
-            cur[slot] = _RECURRENCE[kind](cur[a], cur[b], nxt[slot])
+            rule(cur[a], nxt[slot], out=out)
+            if kind is Until:
+                np.logical_or(cur[b], out, out=out)
     return cur
 
 
@@ -218,7 +231,7 @@ def _label_temporal(kind: type, left: np.ndarray, right: np.ndarray,
     across a loop, which is resolved first, and their stem values are a
     backward or/and-scan from the loop's value.
 
-    ``U`` solves its one-step recurrence (:data:`_RECURRENCE`) with no
+    ``U`` solves its one-step recurrence (:func:`step`) with no
     loop over positions.  Position ``p`` maps the value ``x`` at its
     successor to ``B[p] | (A[p] & x)``; such a map is kept as the pair
     ``(A, B)``, and running ``(a2, b2)`` then ``(a1, b1)`` is again such
@@ -279,12 +292,20 @@ def _root_rows(program: Program, cells: np.ndarray, stem_len: int,
             out[...] = cells[:, :, a].T
             continue
         left, right = rows[:, a], rows[:, b]
-        if kind in _POINTWISE:
-            out[...] = _POINTWISE[kind](left, right)
+        rule = _UFUNC.get(kind)
+        if kind in _CONNECTIVES:
+            rule(left, right, out=out)
         elif kind in _SUCCESSOR:
-            rule = _SUCCESSOR[kind]
-            out[:-1] = rule(left[:-1], left[1:])
-            out[-1] = rule(left[-1], left[stem_len])
+            if rule is None:  # Next
+                out[:-1] = left[1:]
+                out[-1] = left[stem_len]
+            else:
+                rule(left[:-1], left[1:], out=out[:-1])
+                rule(left[-1], left[stem_len], out=out[-1])
+        elif rule is None:  # a constant
+            out[...] = kind is ConstTrue
+        elif kind is Not:
+            rule(left, out=out)
         else:
             temporal(kind, left, right, out, stem_len)
     return rows

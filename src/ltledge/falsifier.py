@@ -51,29 +51,36 @@ on the block's first loop at stem length ``s`` lowers the limit to
 ``s``, as no flip of a longer stem can come first.  :func:`minimize`
 works out each block's stem and depth limits from its best candidate
 so far, ranks the least flip of each layer by size, and returns its
-input itself when that is the best.
+input itself when that is the best.  The counterexample
+:func:`falsify` returns carries the bounds it searched, outside its
+fields; under the same bounds :func:`minimize` knows it as the first
+flip in visit order, which wins every tie of size, so it neither
+evaluates it again nor searches for what could only tie with it.
 
 Two exact rules skip searches that cannot find anything.  A program
 with no ``X`` or edge node (no node class in ``batch._SUCCESSOR``, the
-table :func:`batch.step` reads) is closed under stuttering, so
-:func:`falsify` returns None for it once the bounds are checked: with
-a repeated letter every other node's step is idempotent (pointwise
-nodes read only the letter and their children, and ``F``/``G``/``U``
-satisfy ``R(a, b, R(a, b, y)) = R(a, b, y)``), so no stutter start
-diverges.  And :func:`minimize` searches only the loop lengths, stems
-and unroll depths whose candidates can rank before its input.
+classes whose :func:`batch.step` reads the next position) is closed
+under stuttering, so :func:`falsify` returns None for it once the
+bounds are checked: with a repeated letter every other node's step is
+idempotent (pointwise nodes read only the letter and their children,
+and ``F``/``G``/``U`` satisfy ``R(a, b, R(a, b, y)) = R(a, b, y)``), so
+no stutter start diverges.  And :func:`minimize` searches only the
+loop lengths, stems and unroll depths whose candidates can rank before
+its input.
 
-The program searched is the formula's fold (:func:`_fold`), so the
-first rule also skips formulas whose ``X`` and edge nodes fold away,
-such as ``X(q | !q)``.  The fold applies laws that hold at every
-position of every word, bottom-up, and folds again any node a law
-builds (``c`` is a constant, ``a`` and ``b`` any operands, and a
-"same" operand is the same interned node):
+The first rule reads the formula as written, and a formula with no
+``X`` or edge node is neither folded nor compiled.  It reads the
+formula's fold (:func:`_fold`) too, the program searched, so it also
+skips formulas whose ``X`` and edge nodes fold away, such as
+``X(q | !q)``.  The fold applies laws that hold at every position of
+every word, bottom-up, and folds again any node a law builds (``c`` is
+a constant, ``a`` and ``b`` any operands, and a "same" operand is the
+same interned node):
 
 * a connective (``!``, ``&``, ``|``, ``->``, ``<->``) whose operands
   are constants and one formula ``x``, each plain or as ``!x``, is a
-  function of ``x`` alone.  Its truth table (``batch._POINTWISE``) at
-  ``x`` true and at ``x`` false names its fold: a constant when the two
+  function of ``x`` alone.  Its ufunc (``batch._UFUNC``), applied at
+  ``x`` true and at ``x`` false, names its fold: a constant when the two
   agree, ``x`` for (true, false) and ``!x`` for (false, true).  So
   ``!!a`` is ``a``, ``a & !a`` false and ``true <-> a`` is ``a``;
   operands naming two formulas are left as they are;
@@ -95,6 +102,7 @@ cannot make the prover and the search agree on a wrong verdict.
 
 from __future__ import annotations
 
+import math
 import reprlib
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -102,8 +110,9 @@ from functools import lru_cache
 import numpy as np
 
 from .batch import (
-    _POINTWISE,
+    _CONNECTIVES,
     _SUCCESSOR,
+    _UFUNC,
     Program,
     _label_temporal,
     _root_rows,
@@ -159,6 +168,10 @@ class SearchBounds:
     atom_cap: int = 3
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"SearchBounds {name} must be an integer, "
+                                 f"not {reprlib.repr(value)}")
         if self.max_stem < 0 or self.max_loop < 1:
             raise ValueError("bounds need max_stem >= 0 and max_loop >= 1")
         if self.max_unroll < 0 or self.atom_cap < 1:
@@ -416,10 +429,9 @@ def _search_blocks(program: Program, num_atoms: int, bounds: SearchBounds):
 
 _TRUE, _FALSE = ConstTrue(), ConstFalse()
 # Operand values at x = true and at x = false, where x is the one formula
-# besides constants that they name.  Plain ints, read through ``& 1``, as
-# ~1 is -2.
-_CONSTANTS = {_TRUE: (1, 1), _FALSE: (0, 0)}
-_X, _NOT_X = (1, 0), (0, 1)
+# besides constants that they name.
+_CONSTANTS = {_TRUE: (True, True), _FALSE: (False, False)}
+_X, _NOT_X = (True, False), (False, True)
 
 
 def _fold(nodes: list[Formula]) -> Formula:
@@ -433,8 +445,7 @@ def _fold_node(g: Formula) -> Formula:
     """One node whose children are folded, folded; so is a node a law
     builds."""
     kind = type(g)
-    truth = _POINTWISE.get(kind)
-    if truth is not None:
+    if kind is Not or kind in _CONNECTIVES:
         x, columns = None, []
         for a in children_of(g):
             y = a.child if type(a) is Not else a
@@ -443,8 +454,7 @@ def _fold_node(g: Formula) -> Formula:
                     return g  # a function of two formulas
                 x = y
             columns.append(_CONSTANTS.get(a) or (_X if a is y else _NOT_X))
-        columns += [_CONSTANTS[_FALSE]] * (2 - len(columns))  # unused slots
-        high, low = (truth(*values) & 1 for values in zip(*columns))
+        high, low = (_UFUNC[kind](*values) for values in zip(*columns))
         if high == low:
             return _TRUE if high else _FALSE
         return x if high else g if kind is Not else _fold_node(Not(x))
@@ -463,12 +473,20 @@ def _fold_node(g: Formula) -> Formula:
 
 
 @lru_cache(maxsize=16)
-def _plan(f: Formula) -> tuple[tuple[str, ...], int, Program]:
+def _plan(f: Formula) -> tuple[tuple[str, ...], int, Program | None]:
     """All a search reads of ``f``: its atoms (``("p",)`` if none), its
-    written node count and the program of its fold over those atoms."""
+    written node count and the program of its fold over those atoms, or
+    None if no search can find a flip: the formula as written, or its
+    fold, has no ``X`` or edge node.  A formula written without one is
+    neither folded nor compiled."""
     nodes = subformulas(f)
     names = tuple(g.name for g in nodes if type(g) is Atom) or ("p",)
-    return names, len(nodes), compile_formula(_fold(nodes), names)
+    if not any(type(g) in _SUCCESSOR for g in nodes):
+        return names, len(nodes), None
+    program = compile_formula(_fold(nodes), names)
+    if not any(kind in _SUCCESSOR for kind, _, _ in program):
+        return names, len(nodes), None
+    return names, len(nodes), program
 
 
 def _loop_chunk(nodes: int, num_atoms: int, bounds: SearchBounds) -> int:
@@ -568,18 +586,25 @@ def _reconstruct(f: Formula, atom_names: tuple[str, ...], loop_len: int,
 
 def falsify(f: Formula,
             bounds: SearchBounds | None = None) -> Counterexample | None:
-    """First stuttering counterexample within bounds, or None."""
+    """First stuttering counterexample within bounds, or None.
+
+    The counterexample is marked with ``bounds`` outside its fields, so
+    that :func:`minimize` under the same bounds knows it as this search's
+    first flip; a copy made by ``dataclasses.replace`` or read back by
+    :func:`cex_from_doc` is not marked."""
     if bounds is None:
         bounds = SearchBounds()
     atom_names, nodes, program = _plan(f)
     _loop_chunk(nodes, len(atom_names), bounds)
-    if not any(kind in _SUCCESSOR for kind, _, _ in program):
+    if program is None:
         return None  # next-free: closed under stuttering
     for loop_len, first, loops in _search_blocks(program, len(atom_names),
                                                  bounds):
         found = _first_flip(program, loops, first, bounds)
         if found:
-            return _reconstruct(f, atom_names, loop_len, found)
+            cex = _reconstruct(f, atom_names, loop_len, found)
+            object.__setattr__(cex, "_searched", bounds)
+            return cex
     return None
 
 
@@ -593,61 +618,77 @@ def minimize(cex: Counterexample,
     input does not actually witness a flip.
 
     A candidate with stem ``s``, loop ``l`` and unroll depth ``k`` has
-    an unrolled stem of ``s + k * l``; it can tie or beat the input only
-    if that is at most the input's stem length ``n``, and, if ``l`` is
-    longer than the input's loop, only if it is less than ``n``.  So for
-    each loop length only stems up to that limit and depths up to the
-    limit ``// l`` are searched, and a limit of 0 skips the loop length
-    (a stutter needs an unrolled stem of at least 1): the cost grows
-    with the input's size, not with the bounds.  Each block's limits
-    come from the best candidate so far, in the input's place.  Within a
-    stem layer the position orders size, so each layer's least flip by
+    an unrolled stem of ``s + k * l``; it can rank before the best so
+    far, of unrolled stem ``n`` and loop ``l0``, only if that is at most
+    ``n``, and, if ``l`` is longer than ``l0``, only if it is less than
+    ``n``.  So for each loop length only stems up to that limit and
+    depths up to the limit ``// l`` are searched, and a limit of 0 ends
+    the search (a stutter needs an unrolled stem of at least 1, and the
+    limits only fall with longer loops and better candidates): the cost
+    grows with the input's size, not with the bounds.  Within a stem
+    layer the position orders size, so each layer's least flip by
     position, then row, is ranked.  The bounds are still checked whole,
     before the search is narrowed.  If the best candidate is the input
-    itself (same trace, same stutter position), the input is returned,
-    checked on entry.
+    itself (same trace, same stutter position), the input is returned.
+
+    Ties of size go to the first candidate in visit order.  A block's
+    candidates come after those of the blocks before it, so they win no
+    tie against a best candidate found there, only against an input.  An
+    input that :func:`falsify` returned under the same bounds is the
+    search's first flip, which wins every tie: it is not evaluated
+    again, and on its own loop length, when its position is 0, the limit
+    is ``n - 1``, so an input of stem 1, loop 1 and position 0 needs no
+    search at all.  Any other input is checked on entry and loses its
+    ties.
     """
     if bounds is None:
         bounds = SearchBounds()
     f = cex.formula
-    if not 0 <= cex.stutter_index < cex.trace.stem_len:
-        raise ValueError("not a valid counterexample for its formula: "
-                         f"stutter position {cex.stutter_index} outside "
-                         f"stem of length {cex.trace.stem_len}")
-    before = eval_formula(f, cex.trace)
-    after = eval_formula(f, stutter_at(cex.trace, cex.stutter_index))
-    if (before != cex.value_before or after != cex.value_after
-            or before == after):
-        raise ValueError("not a valid counterexample for its formula")
+    trusted = getattr(cex, "_searched", None) == bounds
+    if not trusted:
+        if not 0 <= cex.stutter_index < cex.trace.stem_len:
+            raise ValueError("not a valid counterexample for its formula: "
+                             f"stutter position {cex.stutter_index} outside "
+                             f"stem of length {cex.trace.stem_len}")
+        before = eval_formula(f, cex.trace)
+        after = eval_formula(f, stutter_at(cex.trace, cex.stutter_index))
+        if (before != cex.value_before or after != cex.value_after
+                or before == after):
+            raise ValueError("not a valid counterexample for its formula")
     atom_names, nodes, program = _plan(f)
     _loop_chunk(nodes, len(atom_names), bounds)
     size = cex.trace.stem_len
     within = replace(bounds, max_stem=min(bounds.max_stem, size))
     # (unrolled stem, loop length, position) and then the candidate,
-    # which breaks ties in visit order.
-    ranked = []
+    # which breaks ties in visit order; the input's -1 or inf puts it
+    # before or after the candidates that tie with it.
+    best = own = (size, cex.trace.loop_len, cex.stutter_index,
+                  -1 if trusted else math.inf)
     for loop_len, first, loops in _search_blocks(program, len(atom_names),
                                                  within):
-        n, l0 = min(ranked)[:2] if ranked else (size, cex.trace.loop_len)
-        limit = n if loop_len <= l0 else n - 1
+        n, l0, i0, order = best[:4]
+        # A candidate of unrolled stem n ranks before the best on a
+        # shorter loop; on loop l0 only at a lower position, or at the
+        # same one against an unmarked input, which loses its ties.
+        same_size = loop_len < l0 or loop_len == l0 and (
+            i0 or order == math.inf)
+        limit = n if same_size else n - 1
         if not limit:
-            continue  # a stutter needs an unrolled stem of 1 or more
+            break  # a stutter needs an unrolled stem of 1 or more
         for layer in _flips(program, loops, [min(within.max_stem, limit)],
                             min(within.max_unroll, limit // loop_len)):
             _, rows, _, positions, _ = layer
             candidate = _candidate(loops, first, layer,
                                    np.lexsort((rows, positions))[0])
             _, s, _, k, i, _ = candidate
-            ranked.append((s + k * loop_len, loop_len, i, *candidate))
-    best = min(ranked, default=None)
-    own_key = (size, cex.trace.loop_len, cex.stutter_index)
-    if best is None or own_key < best[:3]:
+            best = min(best, (s + k * loop_len, loop_len, i, *candidate))
+    if best is own:
         return cex
     loop_len, candidate = best[1], best[3:]
     if (candidate[4:] == (cex.stutter_index, cex.value_before)
             and _candidate_trace(atom_names, loop_len, candidate)
             == cex.trace):
-        return cex  # the input itself, checked above
+        return cex  # the input itself, checked on entry
     return _reconstruct(f, atom_names, loop_len, candidate)
 
 

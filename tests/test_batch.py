@@ -10,12 +10,23 @@ cross-checked against each other below.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import gen_formula
-from ltledge.batch import enumerate_states, label_block, window_block
+from ltledge.batch import (
+    _label_temporal,
+    _root_rows,
+    _window_temporal,
+    compile_formula,
+    enumerate_states,
+    label_block,
+    step,
+    window_block,
+)
+from ltledge.formula import subformulas
 from ltledge.semantics import LassoTrace, eval_formula
 from ltledge.syntax import parse
 
@@ -85,3 +96,49 @@ def test_routes_agree_on_random_formulas():
             got_w = window_block(f, atoms, row_stems, row_loops)
             got_l = label_block(f, atoms, row_stems, row_loops)
             assert np.array_equal(got_w, got_l), f
+
+
+# Every node class: atoms, both constants, the connectives, X, the edges,
+# F, G and U, each over operands that differ from one another.
+EVERY_NODE_CLASS = parse(
+    "(true -> !a) & (b | false) & (a <-> X b) & up a & down b & edge a"
+    " | G a & F b | a U b")
+
+
+@pytest.mark.parametrize("temporal", [_label_temporal, _window_temporal])
+def test_step_matches_the_labels_at_every_position(temporal):
+    # The node vectors at position p are one step from those at its
+    # successor (p + 1, or the loop start after the last position).
+    atoms = ("a", "b")
+    program = compile_formula(EVERY_NODE_CLASS, atoms)
+    assert ({kind for kind, _, _ in program}
+            == {type(g) for g in subformulas(EVERY_NODE_CLASS)})
+    assert len({kind for kind, _, _ in program}) == 15
+    for stem_len, loop_len in [(0, 1), (1, 2), (2, 3), (3, 1)]:
+        cells = np.concatenate(_rows(2, stem_len, loop_len), axis=1)
+        rows = _root_rows(program, cells, stem_len, temporal)
+        width = stem_len + loop_len
+        for p in range(width):
+            nxt = rows[p + 1 if p + 1 < width else stem_len]
+            got = step(program, cells[:, p].T, nxt)
+            assert np.array_equal(got, rows[p]), (stem_len, loop_len, p)
+
+
+def test_step_writes_each_node_in_place():
+    # One step over 2**17 rows holds its output and nothing per node: the
+    # parent made a temporary row vector for each node.
+    atoms = ("a", "b")
+    program = compile_formula(EVERY_NODE_CLASS, atoms)
+    rng = np.random.default_rng(5)
+    rows = 1 << 17
+    letter = rng.integers(0, 2, (len(atoms), rows), dtype=np.uint8) > 0
+    nxt = rng.integers(0, 2, (len(program), rows), dtype=np.uint8) > 0
+    step(program, letter, nxt)  # warm up
+    tracemalloc.start()
+    try:
+        out = step(program, letter, nxt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (len(program), rows)
+    assert peak < out.nbytes + rows // 2

@@ -163,22 +163,48 @@ def test_falsify_stops_at_a_first_flip_no_longer_stem_can_beat(monkeypatch):
     assert (cex.trace.stem_len, cex.trace.loop_len) == (1, 1)
 
 
+def _untrusted(cex):
+    """An equal counterexample that minimize checks and searches as if
+    it came from elsewhere: it lost falsify's mark in the round trip."""
+    copy = cex_from_doc(cex_to_doc(cex))
+    assert copy == cex and not hasattr(copy, "_searched")
+    return copy
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls minimize makes to the falsifier's ``name``."""
+    calls, orig = [], getattr(falsifier, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(falsifier, name, counting)
+    return calls
+
+
 def test_minimize_searches_only_stems_that_can_beat_its_input(monkeypatch):
     cex = falsify(parse("X a"))
     assert len(cex.trace.stem) == 1
     built = _record_stem_layers(monkeypatch)
-    small = minimize(cex)
+    small = minimize(_untrusted(cex))
     # One block, of loop length 1, whose deepest stem layer is of length
     # 1; the default bounds allow 4.  Longer loops cannot beat a
     # one-state loop with an unrolled stem of 1.
     assert built == [1]
     assert (small.trace.stem_len, small.trace.loop_len,
             small.stutter_index) == (1, 1, 0)
+    # falsify's own first flip at (1, 1, 0) can only be tied, and it wins
+    # every tie: nothing is searched.
+    built.clear()
+    assert minimize(cex) is cex
+    assert built == []
 
 
 def test_minimize_searches_longer_loops_only_below_its_input(monkeypatch):
     cex = falsify(parse("up a"))
-    assert (cex.trace.stem_len, cex.trace.loop_len) == (2, 1)
+    assert (cex.trace.stem_len, cex.trace.loop_len,
+            cex.stutter_index) == (2, 1, 0)
     searched = []
 
     def recording(program, loops, stem_limit, max_unroll):
@@ -186,29 +212,74 @@ def test_minimize_searches_longer_loops_only_below_its_input(monkeypatch):
         return _flips(program, loops, stem_limit, max_unroll)
 
     monkeypatch.setattr(falsifier, "_flips", recording)
-    small = minimize(cex)
+    small = minimize(_untrusted(cex))
     # The loop-1 block finds a stem of 1 with one loop state; a longer
     # loop would need an unrolled stem below 1, so none is searched.
     assert searched == [(1, 2, 2)]
     assert cex_to_doc(small)["trace"] == {
         "atoms": ["a"], "stem": [[False]], "loop": [[True]],
     }
+    # falsify's own flip at position 0 wins a tie of size, so on its own
+    # loop length only shorter unrolled stems are searched.
+    searched.clear()
+    assert minimize(cex) == small
+    assert searched == [(1, 1, 1)]
 
 
 def test_minimize_returns_its_input_when_nothing_ranks_before_it(
         monkeypatch):
-    cex = falsify(parse("X a"))
-    calls = []
-
-    def counting(f, t, p=0):
-        calls.append(t)
-        return eval_formula(f, t, p)
-
-    monkeypatch.setattr(falsifier, "eval_formula", counting)
+    trusted = falsify(parse("X a"))
+    cex = _untrusted(trusted)
+    calls = _count_calls(monkeypatch, "eval_formula")
+    searched = _count_calls(monkeypatch, "_flips")
     # The search finds the input itself first: only the entry check
     # evaluates it.
     assert minimize(cex) is cex
     assert len(calls) == 2
+    # falsify re-checked its own counterexample before returning it, and
+    # at (1, 1, 0) nothing can rank before it.
+    calls.clear()
+    searched.clear()
+    assert minimize(trusted) is trusted
+    assert (calls, searched) == ([], [])
+
+
+def test_the_mark_of_falsify_is_no_field(monkeypatch):
+    cex = falsify(parse("X a"))
+    copy = _untrusted(cex)
+    assert hash(copy) == hash(cex) and repr(copy) == repr(cex)
+    assert dataclasses.asdict(copy) == dataclasses.asdict(cex)
+    # A replaced counterexample carries no mark, so a forged one is
+    # caught.
+    forged = dataclasses.replace(cex, value_after=cex.value_before)
+    assert not hasattr(forged, "_searched")
+    with pytest.raises(ValueError, match="not a valid counterexample"):
+        minimize(forged)
+    # Under other bounds the input is no longer that search's first flip.
+    evaluated = _count_calls(monkeypatch, "eval_formula")
+    assert minimize(cex, SearchBounds(max_stem=3)) is cex
+    assert len(evaluated) == 2
+
+
+@pytest.mark.parametrize("bounds", [
+    SearchBounds(), SearchBounds(max_stem=3, max_loop=2, max_unroll=2),
+])
+def test_trusted_and_checked_minimize_agree(bounds):
+    # The trusted input is searched only for what strictly beats it, the
+    # checked copy for what ties it too; both keep the same answer.
+    rng = random.Random(53)
+    refuted = searched = 0
+    for _ in range(1000):
+        f = gen_formula(rng, 4, ("p", "q"))
+        cex = falsify(f, bounds)
+        if cex is None:
+            continue
+        refuted += 1
+        searched += (cex.trace.stem_len, cex.trace.loop_len,
+                     cex.stutter_index) != (1, 1, 0)
+        assert (cex_to_doc(minimize(cex, bounds))
+                == cex_to_doc(minimize(_untrusted(cex), bounds))), render(f)
+    assert refuted > 300 and searched > 100
 
 
 def test_minimize_reuses_the_plan_of_falsify(monkeypatch):
@@ -387,6 +458,15 @@ def test_next_free_programs_have_no_candidates():
             program = compile_formula(f, atom_names)
             blocks = _search_flips(program, len(atom_names), SearchBounds())
             assert not any(found for _, found in blocks), render(f)
+
+
+@pytest.mark.parametrize("value", [1.5, "3", None, True])
+@pytest.mark.parametrize("name", ["max_stem", "max_loop", "max_unroll",
+                                  "atom_cap"])
+def test_bounds_must_be_integers(name, value):
+    with pytest.raises(ValueError, match=f"SearchBounds {name} must be an "
+                                         f"integer, not {value!r}"):
+        SearchBounds(**{name: value})
 
 
 def test_bounds_validation():
