@@ -159,16 +159,6 @@ def _dispatch(f: Formula, memo: dict) -> Verdict:
     return Unknown(_merge_blockers(*failed))
 
 
-def _try_compose(rule: Rule, f: Formula, memo: dict) -> Verdict:
-    """A compositional rule: ``f`` is closed if its children are, which
-    :func:`_analyze` proved first.  Its one candidate is ``_children``'s."""
-    verdicts = [memo[g] for g in f._kids]
-    blockers = [v.blockers for v in verdicts if isinstance(v, Unknown)]
-    if blockers:
-        return Unknown(_merge_blockers(*blockers))
-    return Closed(ProofTree(rule, f, tuple(v.proof for v in verdicts)))
-
-
 def _try_schema(rule: Rule, f: Formula, memo: dict) -> Verdict:
     """First candidate of ``rule`` whose pieces all prove closed."""
     _, candidates, names = _RULES[rule]
@@ -181,7 +171,7 @@ def _try_schema(rule: Rule, f: Formula, memo: dict) -> Verdict:
             continue
         note = "; ".join(f"{n}={render(g)}" for n, g in zip(names, pieces))
         proofs = tuple(v.proof for v in verdicts)
-        node = ProofTree(rule, canonical, proofs, note)
+        node = ProofTree(rule, canonical, proofs, note or None)
         if canonical != f:
             node = ProofTree(
                 Rule.EDGE_DUAL, f, (node,),
@@ -433,12 +423,11 @@ _RULES = {
 }
 
 # What the prover tries on each node type, in order: the table's rules
-# for that type (compositional first, read directly), then the fallback
-# rewrite under G and F.  A bare next or edge has no rule and is its own
-# blocker.
+# for that type, then the fallback rewrite under G and F.  A bare next or
+# edge has no rule and is its own blocker.
 _ATTEMPTS = {
     kind: tuple(
-        partial(_try_compose if spec[1] is _children else _try_schema, r)
+        partial(_try_schema, r)
         for r, spec in _RULES.items() if issubclass(kind, spec[0])
     ) + ((_try_fallback,) if kind in (Always, Eventually) else ())
     for kind in Formula.__subclasses__()

@@ -12,8 +12,8 @@ parents and the root last, where the slots are the children's
 instruction numbers (an atom's first slot is its column in the atom
 tuple).  :func:`_root_rows` runs the program
 over a block of lassos and keeps every node's truth at every canonical
-position ``0 ..< stem + loop`` in one position-major tensor of shape
-(positions, nodes, lassos), so no call walks or hashes the formula tree.
+position ``0 ..< stem + loop`` in one node-major tensor of shape
+(nodes, positions, lassos), so no call walks or hashes the formula tree.
 Both routes share the pointwise connectives, ``Next`` and the edges
 (the successor of the last position wraps to the loop start).  They
 resolve ``G``/``F``/``U`` independently:
@@ -33,14 +33,18 @@ cross-check, and the falsifier's re-check of its candidates, meaningful.
 Every node's value at a position is a function of the letter there, its
 children's values there, and the node vector at the next position; that
 one-position form of the program is :func:`step`.  Both it and
-:func:`_root_rows` write each node's row in place, by the node class's
-NumPy ufunc (``_UFUNC``) with ``out=``, so no node makes a temporary.
+:func:`_root_rows` write the nodes by one loop, :func:`_write_nodes`:
+``step`` hands it the next position's node vectors, and ``_root_rows``
+each node's rows at the successor positions, which every ``X`` or edge
+node gathers once, and its route's ``G``/``F``/``U`` resolver.  Each
+node's row is written in place, by the node class's NumPy ufunc
+(``_UFUNC``) with ``out=``, so a step makes no temporary per node.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -152,6 +156,16 @@ def step(program: Program, letter: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     """
     shape = np.broadcast(letter[0], nxt[0]).shape
     cur = np.empty((len(program), *shape), dtype=bool)
+    return _write_nodes(program, letter, nxt.__getitem__, cur)
+
+
+def _write_nodes(program: Program, letter: np.ndarray,
+                 nxt: Callable[[int], np.ndarray], cur: np.ndarray,
+                 temporal: Callable | None = None) -> np.ndarray:
+    """Write every node's row of ``cur``, children before parents: atom
+    ``j``'s row is ``letter[j]``, node ``slot``'s row at the next position
+    ``nxt(slot)``.  ``G``/``F``/``U`` rows are ``temporal(kind, left,
+    right, out)`` if given, else one step of their recurrence."""
     for slot, (kind, a, b) in enumerate(program):
         out = cur[slot]
         rule = _UFUNC.get(kind)
@@ -161,15 +175,17 @@ def step(program: Program, letter: np.ndarray, nxt: np.ndarray) -> np.ndarray:
             rule(cur[a], cur[b], out=out)
         elif kind in _SUCCESSOR:
             if rule is None:  # Next
-                out[...] = nxt[a]
+                out[...] = nxt(a)
             else:
-                rule(cur[a], nxt[a], out=out)
+                rule(cur[a], nxt(a), out=out)
         elif rule is None:  # a constant
             out[...] = kind is ConstTrue
         elif kind is Not:
             rule(cur[a], out=out)
+        elif temporal is not None:
+            temporal(kind, cur[a], cur[b], out)
         else:
-            rule(cur[a], nxt[slot], out=out)
+            rule(cur[a], nxt(slot), out=out)
             if kind is Until:
                 np.logical_or(cur[b], out, out=out)
     return cur
@@ -280,35 +296,17 @@ def _root_rows(program: Program, cells: np.ndarray, stem_len: int,
     """Truth of every node at every canonical position ``0 ..< stem + loop``.
 
     ``cells`` has shape (lassos, positions, atoms): the stems followed by
-    the loops.  Returns a boolean tensor of shape (positions, nodes,
+    the loops.  Returns a boolean tensor of shape (nodes, positions,
     lassos); the root is the last node.  ``temporal`` is the route's
     resolver for ``G``/``F``/``U`` (:func:`_window_temporal` or
     :func:`_label_temporal`).
     """
-    rows = np.empty((cells.shape[1], len(program), cells.shape[0]), dtype=bool)
-    for slot, (kind, a, b) in enumerate(program):
-        out = rows[:, slot]
-        if kind is Atom:
-            out[...] = cells[:, :, a].T
-            continue
-        left, right = rows[:, a], rows[:, b]
-        rule = _UFUNC.get(kind)
-        if kind in _CONNECTIVES:
-            rule(left, right, out=out)
-        elif kind in _SUCCESSOR:
-            if rule is None:  # Next
-                out[:-1] = left[1:]
-                out[-1] = left[stem_len]
-            else:
-                rule(left[:-1], left[1:], out=out[:-1])
-                rule(left[-1], left[stem_len], out=out[-1])
-        elif rule is None:  # a constant
-            out[...] = kind is ConstTrue
-        elif kind is Not:
-            rule(left, out=out)
-        else:
-            temporal(kind, left, right, out, stem_len)
-    return rows
+    positions = cells.shape[1]
+    successor = np.arange(1, positions + 1)
+    successor[-1] = stem_len
+    rows = np.empty((len(program), positions, cells.shape[0]), dtype=bool)
+    return _write_nodes(program, cells.T, lambda slot: rows[slot, successor],
+                        rows, partial(temporal, stem_len=stem_len))
 
 
 def _block(f: Formula, atoms: tuple[str, ...], stems: np.ndarray,
@@ -316,7 +314,7 @@ def _block(f: Formula, atoms: tuple[str, ...], stems: np.ndarray,
     cells = np.concatenate([stems, loops], axis=1)
     rows = _root_rows(compile_formula(f, atoms), cells, stems.shape[1],
                       temporal)
-    return rows[0, -1].copy()
+    return rows[-1, 0].copy()
 
 
 def window_block(f: Formula, atoms: tuple[str, ...], stems: np.ndarray,

@@ -14,13 +14,14 @@ position yields the same infinite word as a stutter at a smaller depth,
 so those are skipped.
 
 The search walks stem layers.  Each block of loops is labeled once,
-by the labeling route (``batch.compile_formula``), at the loop's own
-positions only.  Lasso ``(x u, v)`` has ``(u, v)`` as its suffix, so
-the node vectors at position 0 of every lasso with a stem one state
-longer are one backward ``batch.step`` from the layer before, which
-broadcasts its tails under every state ``x`` (:func:`_stem_layer`), so
-no letter or tail is copied per row; no stuttered copy is built and no
-stem position is labeled.  The layers before the last are kept for the
+by the labeling route (``batch._root_rows`` with
+``batch._label_temporal``), at the loop's own positions only.  Lasso
+``(x u, v)`` has ``(u, v)`` as its suffix, so the node vectors at
+position 0 of every lasso with a stem one state longer are one
+backward ``batch.step`` from the layer before, which broadcasts its
+tails under every state ``x`` (:func:`_stem_layer`), so no letter or
+tail is copied per row; no stuttered copy is built and no stem
+position is labeled.  The layers before the last are kept for the
 stutters that follow.  The last layer of a full block, of
 ``_CHUNK_TARGET_ROWS`` lassos or more, is built and searched one
 prepended state ``x`` at a time and is not kept, so it is never held
@@ -294,8 +295,8 @@ def _loop_stutters(program: Program, loops: np.ndarray, labels: np.ndarray,
     entries so far are walked to position 0 on their own and yielded
     first.
     """
-    loop_len = labels.shape[0]
-    letters, labels = loops.transpose(2, 1, 0), labels.transpose(1, 0, 2)
+    loop_len = labels.shape[1]
+    letters = loops.transpose(2, 1, 0)
 
     def back(live: _Live, j: int) -> _Live:
         rows = live[0]
@@ -353,7 +354,7 @@ def _flips(program: Program, loops: np.ndarray, stem_limit: list[int],
     labels = _root_rows(program, loops, 0, _label_temporal)
     states = enumerate_states(num_atoms, 1)[:, 0].T
     count = states.shape[1]
-    layers = [labels[0]]
+    layers = [labels[:, 0]]
     groups = _loop_stutters(program, loops, labels, max_unroll,
                             loop_len * n_loops)
     for g, live in enumerate(groups):

@@ -44,7 +44,8 @@ class LassoTrace:
     """Finite presentation of the infinite word stem . loop^omega.
 
     ``atoms`` fixes the columns; each state is a tuple of booleans in
-    atom order.  The stem may be empty, the loop may not.
+    atom order.  The stem may be empty, the loop may not.  Lists are
+    stored as tuples, so every trace is hashable.
     """
 
     atoms: tuple[str, ...]
@@ -52,6 +53,9 @@ class LassoTrace:
     loop: tuple[State, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "atoms", tuple(self.atoms))
+        object.__setattr__(self, "stem", tuple(map(tuple, self.stem)))
+        object.__setattr__(self, "loop", tuple(map(tuple, self.loop)))
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError(f"duplicate atoms in {self.atoms}")
         if not self.loop:
@@ -126,7 +130,7 @@ def _eval_one_row(f: Formula, t: LassoTrace, p: int,
         ) from None
     q = normalize_position(t, p)
     rows = _root_rows(program, t._cells[None], t.stem_len, temporal)
-    return bool(rows[q, -1, 0])
+    return bool(rows[-1, q, 0])
 
 
 def eval_formula(f: Formula, t: LassoTrace, p: int = 0) -> bool:

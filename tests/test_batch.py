@@ -119,9 +119,9 @@ def test_step_matches_the_labels_at_every_position(temporal):
         rows = _root_rows(program, cells, stem_len, temporal)
         width = stem_len + loop_len
         for p in range(width):
-            nxt = rows[p + 1 if p + 1 < width else stem_len]
+            nxt = rows[:, p + 1 if p + 1 < width else stem_len]
             got = step(program, cells[:, p].T, nxt)
-            assert np.array_equal(got, rows[p]), (stem_len, loop_len, p)
+            assert np.array_equal(got, rows[:, p]), (stem_len, loop_len, p)
 
 
 def test_step_writes_each_node_in_place():

@@ -870,17 +870,22 @@ def test_huge_bounds_are_refused_without_building_their_size(name):
 
 def test_live_stutters_stay_within_a_block():
     # A tautology whose inner G keeps diverging down to position 0, so
-    # that many stutters stay live through every layer.  The bound is the
-    # peak of a search that holds each block's (positions x nodes x
-    # lassos) labels whole, at any unroll depth.
+    # that many stutters stay live through every layer.  falsify folds it
+    # to true and searches nothing, so its program is searched directly.
+    # The bound is one block's labels held whole, (positions x nodes x
+    # lassos) = 7 x 9 x 2**17 bytes, at any unroll depth.
     f = parse("G(a -> X (b & c)) | !G(a -> X (b & c))")
+    program = compile_formula(f, ("a", "b", "c"))
+    bounds = SearchBounds(max_unroll=50)
     tracemalloc.start()
     try:
-        assert falsify(f, SearchBounds(max_unroll=50)) is None
+        blocks = _search_flips(program, 3, bounds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 14.9 * 2**20
+    assert blocks and not any(found for _, found in blocks)
+    assert len(program) == 9
+    assert peak <= 7 * 9 * 2**17
 
 
 @pytest.mark.parametrize("text", [
@@ -897,6 +902,7 @@ def test_a_full_search_copies_nothing_per_row(text):
     # vectors per row peaked at 6.2, 7.1, 7.1 and 9.0 MiB, and holding the
     # whole last layer at 4.2, 4.8, 4.8 and 5.9 MiB.
     f = parse(text)
+    assert falsifier._plan(f)[2] is not None  # searched, not folded away
     falsify(f, SearchBounds(max_stem=0, max_loop=1))  # plans f
     tracemalloc.start()
     try:

@@ -54,6 +54,16 @@ def test_stutter_at_duplicates_a_stem_state():
         stutter_at(A_TRUE_THEN_FALSE, 1)
 
 
+def test_a_trace_built_from_lists_stores_tuples():
+    # Lists used to be kept as given: the trace evaluated, but hashing it
+    # raised TypeError, and so did stutter_at (a list added to a tuple).
+    t = LassoTrace(["a"], [[True]], [(False,)])
+    assert t == A_TRUE_THEN_FALSE
+    assert hash(t) == hash(A_TRUE_THEN_FALSE)
+    assert stutter_at(t, 0) == stutter_at(A_TRUE_THEN_FALSE, 0)
+    assert unroll(t, 1) == unroll(A_TRUE_THEN_FALSE, 1)
+
+
 def test_unroll_moves_loop_copies_into_stem():
     t = unroll(A_TRUE_THEN_FALSE, 2)
     assert t == LassoTrace(("a",), ((True,), (False,), (False,)), ((False,),))
