@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
+from .documents import read_fields
 from .formula import (
     Always,
     And,
@@ -465,38 +465,24 @@ def proof_to_doc(p: ProofTree) -> dict:
 
 
 def proof_from_doc(doc: dict) -> ProofTree:
-    try:
-        # Read in pre-order, then build each node after its premises.
-        order, todo = [], [doc]
-        while todo:
-            d = todo.pop()
-            if not isinstance(d, dict):
-                raise TypeError("proof node must be a JSON object, not "
-                                f"{type(d).__name__}")
-            try:
-                rule = Rule(d["rule"])
-            except ValueError:
-                raise ValueError("rule is not a known rule: "
-                                 f"{reprlib.repr(d['rule'])}") from None
-            premises, note = d["premises"], d.get("note")
-            if not isinstance(premises, list):
-                raise TypeError("premises is not a list: "
-                                f"{reprlib.repr(premises)}")
-            if "note" in d and not isinstance(note, str):
-                raise TypeError(f"note is not a string: {reprlib.repr(note)}")
-            conclusion = d["conclusion"]
-            if not isinstance(conclusion, str):
-                raise TypeError("conclusion must be a string, not "
-                                f"{reprlib.repr(conclusion)}")
-            order.append((d, rule, parse(conclusion), premises, note))
-            todo += reversed(premises)
-        built = {}
-        for d, rule, conclusion, premises, note in reversed(order):
-            built[id(d)] = ProofTree(
-                rule, conclusion, tuple(built[id(q)] for q in premises), note
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed proof document: {exc}") from None
+    fields = (
+        ("rule", True, {r.value: r for r in Rule}.__getitem__, "a known rule"),
+        ("conclusion", True, parse, "a formula text"),
+        ("premises", True, list, "a list of proof nodes"),
+        ("note", False, str, "a string"),
+    )
+    # Read in pre-order, then build each node after its premises.
+    order, todo = [], [(doc, "proof document")]
+    while todo:
+        d, where = todo.pop()
+        order.append((d, read_fields(d, where, fields)))
+        premises = order[-1][1]["premises"]
+        todo += ((premises[i], f"{where}: premises[{i}]")
+                 for i in reversed(range(len(premises))))
+    built = {}
+    for d, node in reversed(order):
+        node["premises"] = tuple(built[id(q)] for q in node["premises"])
+        built[id(d)] = ProofTree(**node)
     return built[id(doc)]
 
 
@@ -524,7 +510,7 @@ def render_proof(p: ProofTree, format: str = "text") -> str:
     shown: dict[Formula, str] = {}  # each conclusion is rendered once
     for node in reversed(_proof_nodes(p)):
         if node.conclusion not in shown:
-            shown[node.conclusion] = render(node.conclusion)
+            shown[node.conclusion] = render(node.conclusion, shown)
         entry = f"[{node.rule.value}] {shown[node.conclusion]}"
         if node.premises:
             entry += "  <==  " + ", ".join(

@@ -104,7 +104,6 @@ cannot make the prover and the search agree on a wrong verdict.
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -121,6 +120,7 @@ from .batch import (
     enumerate_states,
     step,
 )
+from .documents import boolean, read_fields
 from .formula import (
     Always,
     AnyEdge,
@@ -169,10 +169,8 @@ class SearchBounds:
     atom_cap: int = 3
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"SearchBounds {name} must be an integer, "
-                                 f"not {reprlib.repr(value)}")
+        read_fields(vars(self), "SearchBounds",
+                    [(name, True, int, "an integer") for name in vars(self)])
         if self.max_stem < 0 or self.max_loop < 1:
             raise ValueError("bounds need max_stem >= 0 and max_loop >= 1")
         if self.max_unroll < 0 or self.atom_cap < 1:
@@ -706,26 +704,10 @@ def cex_to_doc(cex: Counterexample) -> dict:
 def cex_from_doc(doc: dict) -> Counterexample:
     """Inverse of :func:`cex_to_doc`; the values accept 0/1 as well as
     booleans, the stutter index only an integer."""
-    if not isinstance(doc, dict):
-        raise ValueError("counterexample document must be a JSON object, "
-                         f"not {type(doc).__name__}")
-    try:
-        text = doc["formula"]
-        if not isinstance(text, str):
-            raise TypeError("formula must be a string, not "
-                            f"{reprlib.repr(text)}")
-        formula = parse(text)
-        trace = trace_from_doc(doc["trace"])
-        index = doc["stutter_index"]
-        before = doc["value_before"]
-        after = doc["value_after"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed counterexample document: {exc}") from None
-    if isinstance(index, bool) or not isinstance(index, int):
-        raise ValueError("malformed counterexample document: stutter_index "
-                         f"must be an integer, not {reprlib.repr(index)}")
-    for name, value in (("value_before", before), ("value_after", after)):
-        if not isinstance(value, (bool, int)) or value not in (0, 1):
-            raise ValueError(f"malformed counterexample document: {name} "
-                             f"must be a boolean, not {reprlib.repr(value)}")
-    return Counterexample(formula, trace, index, bool(before), bool(after))
+    return read_fields(doc, "counterexample document", (
+        ("formula", True, parse, "a formula text"),
+        ("trace", True, trace_from_doc, "a trace document"),
+        ("stutter_index", True, int, "an integer"),
+        ("value_before", True, boolean, "a boolean"),
+        ("value_after", True, boolean, "a boolean"),
+    ), Counterexample)

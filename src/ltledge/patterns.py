@@ -17,12 +17,12 @@ instantiation warns about bindings the analyzer cannot prove.
 
 from __future__ import annotations
 
-import json
 import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .analyzer import Closed, Verdict, analyze
+from .documents import load_json, read_fields, strings
 from .formula import (
     Atom,
     Formula,
@@ -30,7 +30,7 @@ from .formula import (
     normalize_edge_negations,
     transform_bottom_up,
 )
-from .syntax import ParseError, parse, render
+from .syntax import parse, render
 
 _SCOPE_NAMES = {
     "A": "A-Global",
@@ -154,56 +154,30 @@ class Catalog:
 
     def load_user(self, text: str) -> tuple[str, ...]:
         """Add templates from a JSON catalog document; returns their ids."""
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"catalog document is not valid JSON: {exc}")
-        except RecursionError:
-            raise ValueError("catalog document is nested too deeply to read")
+        doc = load_json(text, "catalog document")
         if not isinstance(doc, list):
-            raise ValueError("catalog document must be a list of entries")
+            raise ValueError("catalog document: must be a list of entries, "
+                             f"not {type(doc).__name__}")
+        fields = (
+            ("id", True, str, "a string"),
+            ("metavariables", True, strings, "a list of strings"),
+            ("body", True, parse, "a formula text"),
+            ("notes", False, str, "a string"),
+        )
         added: dict[str, PatternTemplate] = {}
-        for n, entry in enumerate(doc):
-            if not isinstance(entry, dict):
-                raise ValueError("catalog entries must be objects")
-            try:
-                raw_id = entry["id"]
-                mvs = entry["metavariables"]
-                body_text = entry["body"]
-            except KeyError as exc:
-                raise ValueError(f"catalog entry is missing field {exc}")
-            notes = entry.get("notes", "")
-            name = reprlib.repr(raw_id) if isinstance(raw_id, str) else f"#{n}"
-            for field, ok, kind in (
-                ("id", isinstance(raw_id, str), "a string"),
-                ("metavariables", isinstance(mvs, list)
-                 and all(isinstance(m, str) for m in mvs), "a list of strings"),
-                ("body", isinstance(body_text, str), "a string"),
-                ("notes", isinstance(notes, str), "a string"),
-            ):
-                if not ok:
-                    raise ValueError(f"entry {name}: field {field!r} must be "
-                                     f"{kind}")
-            ident = raw_id if raw_id.startswith("user/") else f"user/{raw_id}"
-            try:
-                body = parse(body_text)
-            except ParseError as exc:
-                raise ValueError(f"entry {name}: {exc}") from None
+
+        def template(id, metavariables, body, notes=""):
+            ident = id if id.startswith("user/") else f"user/{id}"
             if ident in self._entries or ident in added:
-                raise ValueError("duplicate pattern id "
-                                 f"{reprlib.repr(ident)}")
-            try:
-                added[ident] = PatternTemplate(
-                    ident=ident,
-                    pattern="user",
-                    scope=None,
-                    combination=None,
-                    metavariables=tuple(mvs),
-                    body=body,
-                    notes=notes,
-                )
-            except ValueError as exc:
-                raise ValueError(f"entry {name}: {exc}") from None
+                raise ValueError(f"duplicate pattern id {reprlib.repr(ident)}")
+            return PatternTemplate(ident, "user", None, None, metavariables,
+                                   body, notes)
+        for n, entry in enumerate(doc):
+            raw_id = entry.get("id") if isinstance(entry, dict) else None
+            where = (f"catalog entry {reprlib.repr(raw_id)}"
+                     if isinstance(raw_id, str) else f"catalog entry #{n}")
+            new = read_fields(entry, where, fields, template)
+            added[new.ident] = new
         # Inserted only once every entry is checked: a rejected document
         # loads nothing.
         self._entries.update(added)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import reprlib
-from collections.abc import Sequence, Sized
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .batch import (
     _window_temporal,
     compile_formula,
 )
+from .documents import atom_names, load_json, read_fields
 from .formula import Formula
 
 State = tuple[bool, ...]
@@ -30,13 +31,6 @@ State = tuple[bool, ...]
 
 class UnknownAtomError(LookupError):
     """A formula mentions an atom the trace does not carry."""
-
-
-def _check_states(label: str, states: Sequence[Sized], width: int) -> None:
-    if set(map(len, states)) <= {width}:
-        return
-    i, state = next((i, s) for i, s in enumerate(states) if len(s) != width)
-    raise ValueError(f"{label} state {i} has {len(state)} values, expected {width}")
 
 
 @dataclass(frozen=True)
@@ -57,11 +51,15 @@ class LassoTrace:
         object.__setattr__(self, "stem", tuple(map(tuple, self.stem)))
         object.__setattr__(self, "loop", tuple(map(tuple, self.loop)))
         if len(set(self.atoms)) != len(self.atoms):
-            raise ValueError(f"duplicate atoms in {self.atoms}")
+            raise ValueError(f"duplicate atoms in {reprlib.repr(self.atoms)}")
         if not self.loop:
             raise ValueError("loop must be nonempty")
-        _check_states("stem", self.stem, len(self.atoms))
-        _check_states("loop", self.loop, len(self.atoms))
+        width = len(self.atoms)
+        for label, states in (("stem", self.stem), ("loop", self.loop)):
+            if set(map(len, states)) - {width}:
+                i = next(i for i, s in enumerate(states) if len(s) != width)
+                raise ValueError(f"{label} state {i} has {len(states[i])} "
+                                 f"values, expected {width}")
 
     @property
     def stem_len(self) -> int:
@@ -82,8 +80,8 @@ class LassoTrace:
         """The states ``stem + loop`` as one read-only boolean array of
         shape (positions, atoms), built once and shared by both
         evaluation routes."""
-        cells = np.array(self.stem + self.loop, dtype=bool).reshape(
-            self.stem_len + self.loop_len, len(self.atoms))
+        cells = np.fromiter(chain.from_iterable(self.stem + self.loop), bool)
+        cells = cells.reshape(self.stem_len + self.loop_len, len(self.atoms))
         cells.flags.writeable = False
         return cells
 
@@ -162,64 +160,42 @@ def trace_to_doc(t: LassoTrace) -> dict:
     }
 
 
-def _doc_cells(rows, label: str, width: int) -> np.ndarray:
-    """The ``stem`` or ``loop`` field of a trace document as a boolean
-    array of shape (states, width).
+def _doc_states(rows) -> list:
+    """The states of the ``stem`` or ``loop`` field of a trace document.
 
     Checked in bulk: one conversion to an array, whose dtype and values
     show whether every value is a boolean or 0/1.  Only a rejected field
     is scanned value by value, to name the first bad value.
     """
     if not isinstance(rows, list) or set(map(type, rows)) - {list}:
-        raise ValueError(f"'{label}' must be a list of lists of booleans or 0/1")
-    _check_states(label, rows, width)
-    if not rows or not width:
-        return np.zeros((len(rows), width), dtype=bool)
+        raise TypeError
     try:
         values = np.array(rows)
-    except ValueError:  # a value is a list of another length
+    except ValueError:  # states of unequal length, which LassoTrace refuses
         values = None
     if (values is not None and values.ndim == 2 and values.dtype.kind in "bi"
             and ((values == 0) | (values == 1)).all()):
-        return values.astype(bool)
-    bad = next(v for row in rows for v in row
-               if not isinstance(v, (bool, int)) or v not in (0, 1))
-    raise ValueError(f"'{label}' values must be booleans or 0/1, "
-                     f"not {reprlib.repr(bad)}")
+        return values.astype(bool).tolist()
+    for v in (v for row in rows for v in row):
+        if not isinstance(v, (bool, int)) or v not in (0, 1):
+            raise ValueError("values must be booleans or 0/1, not "
+                             f"{reprlib.repr(v)}")
+    return rows  # no values, or states of unequal length
 
 
 def trace_from_doc(doc: dict) -> LassoTrace:
     """Inverse of :func:`trace_to_doc`; each state value is a boolean or
     0/1, anything else is a ValueError naming the field."""
-    if not isinstance(doc, dict):
-        raise ValueError("trace document must be a JSON object, not "
-                         f"{type(doc).__name__}")
-    try:
-        atoms = doc["atoms"]
-        stem = doc["stem"]
-        loop = doc["loop"]
-    except KeyError as exc:
-        raise ValueError(f"trace document is missing field {exc}") from None
-    if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
-        raise ValueError("'atoms' must be a list of identifiers")
-    cells = np.concatenate([_doc_cells(stem, "stem", len(atoms)),
-                            _doc_cells(loop, "loop", len(atoms))])
-    states = tuple(map(tuple, cells.tolist()))
-    trace = LassoTrace(tuple(atoms), states[:len(stem)], states[len(stem):])
-    cells.flags.writeable = False
-    vars(trace)["_cells"] = cells  # the cached property, already built
-    return trace
+    return read_fields(doc, "trace document", (
+        ("atoms", True, atom_names, "a list of atom names"),
+        ("stem", True, _doc_states, "a list of lists of booleans or 0/1"),
+        ("loop", True, _doc_states, "a list of lists of booleans or 0/1"),
+    ), LassoTrace)
 
 
 def load_trace(text: str) -> LassoTrace:
     """Parse a JSON trace document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"trace document is not valid JSON: {exc}")
-    except RecursionError:
-        raise ValueError("trace document is nested too deeply to read")
-    return trace_from_doc(doc)
+    return trace_from_doc(load_json(text, "trace document"))
 
 
 def dump_trace(t: LassoTrace) -> str:

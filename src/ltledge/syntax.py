@@ -169,12 +169,13 @@ _CONSTANT_OF = {kind: word for word, kind in _CONSTANTS.items()}
 _PREFIX_LEVEL = 1 + max(level for _, level, _ in INFIX.values())
 
 
-def render(f: Formula) -> str:
+def render(f: Formula, shown: dict[Formula, str] | None = None) -> str:
     """Minimal-parenthesis concrete syntax; ``parse(render(f)) == f``.
 
     The stack holds text and (node, minimum binding level) pieces.  An
     infix node looser than its minimum is parenthesized; its operand on
-    the associative side may bind at its own level.
+    the associative side may bind at its own level.  A subformula in
+    ``shown`` is not rendered again: its text there is spliced in.
     """
     out, todo = [], [(f, 0)]
     while todo:
@@ -184,7 +185,10 @@ def render(f: Formula) -> str:
             continue
         g, least = item
         kind = type(g)
-        if kind in _INFIX_OF:
+        if shown and g in shown:
+            loose = kind in _INFIX_OF and _INFIX_OF[kind][1] < least
+            out.append(f"({shown[g]})" if loose else shown[g])
+        elif kind in _INFIX_OF:
             symbol, level, right_assoc = _INFIX_OF[kind]
             if level < least:
                 out.append("(")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -174,8 +175,10 @@ def test_proof_document_field_types_are_checked(field, value):
         doc = proof_to_doc(analyze(parse("F(up a & X b)")).proof)
         node = doc if where == "root" else doc["premises"][0]
         node[field] = value
+        path = "" if where == "root" else r"premises\[0\]: "
         with pytest.raises(ValueError,
-                           match=f"^malformed proof document: {field}"):
+                           match=f"^proof document: {path}field '{field}': "
+                                 f"must be .*, not {re.escape(repr(value))}$"):
             proof_from_doc(doc)
 
 
@@ -186,7 +189,7 @@ def test_proof_document_field_types_are_checked(field, value):
 def test_proof_document_messages_are_bounded(field, value):
     doc = proof_to_doc(analyze(parse("F(up a & X b)")).proof)
     doc["premises"][0][field] = value
-    pattern = f"^malformed proof document: {field}"
+    pattern = rf"^proof document: premises\[0\]: field '{field}': "
     with pytest.raises(ValueError, match=pattern) as info:
         proof_from_doc(doc)
     assert len(str(info.value)) < 200
@@ -199,12 +202,11 @@ def test_proof_document_messages_are_bounded(field, value):
 def test_every_proof_node_must_be_an_object(where, node, kind):
     doc = proof_to_doc(analyze(parse("F(up a & X b)")).proof)
     if where == "root":
-        doc = node
+        doc, path = node, ""
     else:
-        doc["premises"][0] = node
-    with pytest.raises(ValueError, match="^malformed proof document: proof "
-                                         f"node must be a JSON object, not "
-                                         f"{kind}$"):
+        doc["premises"][0], path = node, r"premises\[0\]: "
+    with pytest.raises(ValueError, match=f"^proof document: {path}must be a "
+                                         f"JSON object, not {kind}$"):
         proof_from_doc(doc)
 
 
@@ -213,6 +215,33 @@ def test_render_proof_text_lists_premises_after_their_uses():
     lines = render_proof(verdict.proof, format="text").splitlines()
     assert lines[-1].startswith("[PROP-E] F(up a & X b)")
     assert any(line.startswith("[CUS-VAR] a") for line in lines)
+
+
+def _text_rendering_each_conclusion_whole(p: ProofTree) -> str:
+    lines = []
+    for node in reversed(_proof_nodes(p)):
+        entry = f"[{node.rule.value}] {render(node.conclusion)}"
+        if node.premises:
+            entry += "  <==  " + ", ".join(render(q.conclusion)
+                                            for q in node.premises)
+        if node.note:
+            entry += f"   ({node.note})"
+        lines.append(entry)
+    return "\n".join(lines)
+
+
+def test_render_proof_text_equals_rendering_each_conclusion_whole():
+    # render_proof splices in the text of conclusions it has rendered
+    # already, parenthesized where their place needs it.
+    rng = random.Random(2027)
+    formulas = [gen_formula(rng, 5, ("p", "q")) for _ in range(1500)]
+    formulas += [t.body for t in catalog().templates()]
+    formulas.append(parse(
+        "G(" + " & ".join(f"(a{i} | b{i})" for i in range(300)) + ")"))
+    proofs = [v.proof for v in map(analyze, formulas) if isinstance(v, Closed)]
+    assert len(proofs) > 300
+    for p in proofs:
+        assert render_proof(p) == _text_rendering_each_conclusion_whole(p)
 
 
 def test_check_proof_rejects_tampering():

@@ -222,7 +222,7 @@ def test_malformed_user_catalog_fields_are_usage_errors(run, tmp_path,
     path.write_text(json.dumps([entry]))
     code, out, err = run("pattern", "list", "--user", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith("error: entry ") and err.count("\n") == 1
+    assert err.startswith("error: catalog entry ") and err.count("\n") == 1
 
 
 def test_user_catalog_template_errors_name_the_entry(run, tmp_path):
@@ -230,7 +230,7 @@ def test_user_catalog_template_errors_name_the_entry(run, tmp_path):
     path.write_text(json.dumps(
         [{"id": "t", "metavariables": ["p"], "body": "F p"}]))
     assert run("pattern", "list", "--user", str(path)) == (
-        2, "", "error: entry 't': metavariable 'p' must be a single "
+        2, "", "error: catalog entry 't': metavariable 'p' must be a single "
         "uppercase letter\n")
 
 
@@ -250,7 +250,7 @@ def test_a_trace_that_is_not_json_is_a_usage_error(run, tmp_path):
     path.write_text("")
     code, out, err = run("eval", "a", str(path))
     assert (code, out) == (2, "")
-    assert err == ("error: trace document is not valid JSON: Expecting "
+    assert err == ("error: trace document: not valid JSON: Expecting "
                    "value: line 1 column 1 (char 0)\n")
 
 
@@ -262,7 +262,7 @@ def test_a_trace_that_is_not_a_json_object_is_a_usage_error(run, tmp_path,
     path = tmp_path / "trace.json"
     path.write_text(text)
     assert run("eval", "a", str(path)) == (
-        2, "", f"error: trace document must be a JSON object, not {kind}\n")
+        2, "", f"error: trace document: must be a JSON object, not {kind}\n")
 
 
 @pytest.mark.parametrize("value,shown", [
@@ -274,7 +274,8 @@ def test_trace_values_other_than_booleans_or_0_1_are_usage_errors(
     path.write_text(f'{{"atoms": ["a"], "stem": [[{value}]], "loop": [[0]]}}')
     code, out, err = run("eval", "a", str(path))
     assert (code, out) == (2, "")
-    assert err == f"error: 'stem' values must be booleans or 0/1, not {shown}\n"
+    assert err == ("error: trace document: field 'stem': values must be "
+                   f"booleans or 0/1, not {shown}\n")
 
 
 def test_a_huge_bad_trace_value_gives_one_short_error_line(run, tmp_path):
@@ -283,7 +284,8 @@ def test_a_huge_bad_trace_value_gives_one_short_error_line(run, tmp_path):
                                 "loop": [[0]]}))
     code, out, err = run("eval", "a", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith("error: 'stem' values must be booleans or 0/1, not ")
+    assert err.startswith("error: trace document: field 'stem': values must "
+                          "be booleans or 0/1, not ")
     assert err.count("\n") == 1 and len(err) < 200
 
 
@@ -318,7 +320,7 @@ def test_json_nested_too_deeply_is_a_usage_error(run, tmp_path, argv,
     path.write_text(text)
     code, out, err = run(*argv, str(path))
     assert (code, out) == (2, "")
-    assert err == f"error: {document} document is nested too deeply to read\n"
+    assert err == f"error: {document} document: nested too deeply to read\n"
 
 
 def test_search_over_the_size_budget_is_a_usage_error(run):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -464,8 +465,9 @@ def test_next_free_programs_have_no_candidates():
 @pytest.mark.parametrize("name", ["max_stem", "max_loop", "max_unroll",
                                   "atom_cap"])
 def test_bounds_must_be_integers(name, value):
-    with pytest.raises(ValueError, match=f"SearchBounds {name} must be an "
-                                         f"integer, not {value!r}"):
+    with pytest.raises(ValueError, match=f"^SearchBounds: field '{name}': "
+                                         "must be an integer, not "
+                                         f"{re.escape(repr(value))}$"):
         SearchBounds(**{name: value})
 
 
@@ -569,8 +571,8 @@ def test_counterexample_document_field_types_are_checked(field, value):
     doc = cex_to_doc(falsify(parse("X a")))
     doc[field] = value
     with pytest.raises(ValueError,
-                       match=f"^malformed counterexample document: {field} "
-                             "must be "):
+                       match=f"^counterexample document: field '{field}': "
+                             f"must be .*, not {re.escape(repr(value))}$"):
         cex_from_doc(doc)
 
 
@@ -579,7 +581,8 @@ def test_counterexample_document_field_types_are_checked(field, value):
 def test_counterexample_document_messages_are_bounded(field):
     doc = cex_to_doc(falsify(parse("X a")))
     doc[field] = [0] * 200_000
-    with pytest.raises(ValueError, match=f"^malformed .*: {field} ") as info:
+    with pytest.raises(ValueError, match="^counterexample document: field "
+                                         f"'{field}': ") as info:
         cex_from_doc(doc)
     assert len(str(info.value)) < 200
 
@@ -588,7 +591,7 @@ def test_counterexample_document_messages_are_bounded(field):
     ([], "list"), (None, "NoneType"), ("X a", "str"),
 ])
 def test_a_counterexample_document_must_be_an_object(doc, kind):
-    with pytest.raises(ValueError, match="^counterexample document must be "
+    with pytest.raises(ValueError, match="^counterexample document: must be "
                                          f"a JSON object, not {kind}$"):
         cex_from_doc(doc)
 
@@ -596,7 +599,8 @@ def test_a_counterexample_document_must_be_an_object(doc, kind):
 def test_counterexample_document_missing_field():
     doc = cex_to_doc(falsify(parse("X a")))
     del doc["value_after"]
-    with pytest.raises(ValueError, match="malformed counterexample document"):
+    with pytest.raises(ValueError, match="^counterexample document: missing "
+                                         "field 'value_after'$"):
         cex_from_doc(doc)
 
 

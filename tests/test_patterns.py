@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -129,25 +130,29 @@ def test_user_catalog_rejects_bad_documents():
 
 @pytest.mark.parametrize("entry,message", [
     ({"id": 5, "metavariables": ["P"], "body": "F p"},
-     "entry #0: field 'id' must be a string"),
+     "catalog entry #0: field 'id': must be a string, not 5"),
     ({"id": "t", "metavariables": 5, "body": "F p"},
-     "entry 't': field 'metavariables' must be a list of strings"),
+     "catalog entry 't': field 'metavariables': must be a list of strings, "
+     "not 5"),
     ({"id": "t", "metavariables": "PQ", "body": "F p"},
-     "entry 't': field 'metavariables' must be a list of strings"),
+     "catalog entry 't': field 'metavariables': must be a list of strings, "
+     "not 'PQ'"),
     ({"id": "t", "metavariables": ["P", 1], "body": "F p"},
-     "entry 't': field 'metavariables' must be a list of strings"),
+     "catalog entry 't': field 'metavariables': must be a list of strings, "
+     "not ['P', 1]"),
     ({"id": "t", "metavariables": ["P"], "body": 5},
-     "entry 't': field 'body' must be a string"),
+     "catalog entry 't': field 'body': must be a formula text, not 5"),
     ({"id": "t", "metavariables": ["P"], "body": "F p", "notes": None},
-     "entry 't': field 'notes' must be a string"),
+     "catalog entry 't': field 'notes': must be a string, not None"),
     ({"id": "t", "metavariables": ["p"], "body": "F p"},
-     "entry 't': metavariable 'p' must be a single uppercase letter"),
+     "catalog entry 't': metavariable 'p' must be a single uppercase "
+     "letter"),
 ], ids=["id-number", "metavariables-number", "metavariables-string",
         "metavariables-mixed", "body-number", "notes-null",
         "metavariable-lowercase"])
 def test_user_catalog_checks_field_types(entry, message):
     cat = Catalog()
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cat.load_user(json.dumps([entry]))
     assert len(cat.ids()) == 20
 
@@ -160,13 +165,14 @@ def test_user_catalog_messages_are_bounded(mvs, body, message):
     # A huge id is shown shortened wherever a message names its entry.
     cat = Catalog()
     entry = {"id": "x" * 300_000, "metavariables": mvs, "body": body}
-    with pytest.raises(ValueError,
-                       match=f"^entry 'x+[.]{{3}}x+': {message}") as info:
+    pattern = f"^catalog entry 'x+[.]{{3}}x+': {message}"
+    with pytest.raises(ValueError, match=pattern) as info:
         cat.load_user(json.dumps([entry]))
     assert len(str(info.value)) < 200
     ok = json.dumps([{**entry, "metavariables": ["P"], "body": "F p"}])
     cat.load_user(ok)
-    with pytest.raises(ValueError, match="^duplicate pattern id") as info:
+    with pytest.raises(ValueError, match="^catalog entry 'x+[.]{3}x+': "
+                                         "duplicate pattern id") as info:
         cat.load_user(ok)
     assert len(str(info.value)) < 200
 

@@ -183,8 +183,9 @@ def test_trace_values_must_be_booleans_or_0_1(field, value):
     doc = {"atoms": ["a", "b"], "stem": [[0, 1], [True, False]],
            "loop": [[1, 0]]}
     doc[field][0][1] = value
-    with pytest.raises(ValueError, match=f"^'{field}' values must be "
-                                         "booleans or 0/1, not "):
+    with pytest.raises(ValueError, match=f"^trace document: field '{field}': "
+                                         "values must be booleans or 0/1, "
+                                         "not "):
         trace_from_doc(doc)
 
 
@@ -192,7 +193,8 @@ def test_trace_values_must_be_booleans_or_0_1(field, value):
                          ids=["list", "string"])
 def test_bad_trace_value_message_is_bounded(value):
     doc = {"atoms": ["a"], "stem": [[value]], "loop": [[1]]}
-    with pytest.raises(ValueError, match="^'stem' values must be") as info:
+    with pytest.raises(ValueError, match="^trace document: field 'stem': "
+                                         "values must be") as info:
         trace_from_doc(doc)
     assert len(str(info.value)) < 200
 
@@ -209,11 +211,19 @@ def test_malformed_trace_documents_are_value_errors(doc):
         trace_from_doc(doc)
 
 
+@pytest.mark.parametrize("name", ["", "a b", "G", "true"])
+def test_trace_atoms_must_be_atom_names(name):
+    doc = {"atoms": ["a", name], "stem": [], "loop": [[0, 1]]}
+    with pytest.raises(ValueError, match="^trace document: field 'atoms': "
+                                         f"{name!r} is not an atom name$"):
+        trace_from_doc(doc)
+
+
 @pytest.mark.parametrize("doc, kind", [
     ([1, 2], "list"), (None, "NoneType"), ("ab", "str"), (5, "int"),
 ])
 def test_a_trace_document_must_be_an_object(doc, kind):
-    with pytest.raises(ValueError, match="^trace document must be a JSON "
+    with pytest.raises(ValueError, match="^trace document: must be a JSON "
                                          f"object, not {kind}$"):
         trace_from_doc(doc)
 
