@@ -20,9 +20,9 @@ empty for the compositional rules, whose one candidate is the node's
 children).  A candidate is a canonical conclusion plus premise formulas.
 The three edge schema rules share one anchor reader (``_anchors``, which
 reads ``down a`` as ``up !a``) and one current/next splitter (``_split``).
-The prover tries, per node type, the table's rules for that type in
-order (``_ATTEMPTS``) and takes the first candidate whose pieces all
-prove closed; the checker accepts a node iff some candidate of its rule
+The prover's one loop per node tries the candidates of its type's rules
+in table order (``_RULES_OF``), then the fallback rewrite under ``G`` and
+``F``; the checker accepts a node iff some candidate of its rule
 reproduces its conclusion and premises exactly.  Both read the same
 generators, so they cannot disagree on what a rule accepts.
 """
@@ -33,7 +33,6 @@ import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 from .documents import read_fields
 from .formula import (
@@ -81,12 +80,23 @@ class Rule(str, Enum):
     LOGIC_REWRITE = "LOGIC-REWRITE"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProofTree:
     rule: Rule
     conclusion: Formula
     premises: tuple[ProofTree, ...] = ()
     note: str | None = None
+
+    # Compared and hashed without recursion, so proofs of any depth can be.
+    def __eq__(self, other):
+        if not isinstance(other, ProofTree):
+            return NotImplemented
+        mine, theirs = ([(q.rule, q.conclusion, q.note, len(q.premises))
+                         for q in _proof_nodes(p)] for p in (self, other))
+        return mine == theirs
+
+    def __hash__(self):
+        return hash((self.rule, self.conclusion, self.note))
 
 
 @dataclass(frozen=True)
@@ -115,70 +125,61 @@ def normalize(f: Formula) -> Formula:
 
 def analyze(f: Formula) -> Verdict:
     """Prove ``f`` closed under stuttering, or report what blocked."""
-    nf = normalize(f)
-    verdict = _analyze(nf, {})
-    if isinstance(verdict, Closed) and nf != f:
-        proof = ProofTree(
-            Rule.LOGIC_REWRITE,
-            f,
-            (verdict.proof,),
-            note="normalized with the rewrite set",
-        )
-        return Closed(proof)
-    return verdict
+    return _rewrite(f, normalize(f), {}, "normalized with the rewrite set")
 
 
-def _merge_blockers(*groups: tuple[Formula, ...]) -> tuple[Formula, ...]:
-    return tuple(dict.fromkeys(g for group in groups for g in group))
+def _rewrite(f: Formula, g: Formula, memo: dict, how: str) -> Verdict:
+    """Verdict of ``f`` through its rewrite ``g``: a Closed one, if ``g``
+    is not ``f``, under a LOGIC-REWRITE root noted ``how``."""
+    verdict = _analyze(g, memo)
+    if isinstance(verdict, Unknown) or g == f:
+        return verdict
+    return Closed(ProofTree(Rule.LOGIC_REWRITE, f, (verdict.proof,), how))
 
 
 def _analyze(f: Formula, memo: dict[Formula, Verdict]) -> Verdict:
-    """Verdict of ``f``; the subformulas its rules look into (none under
-    a bare next or edge) are proved first, in post-order, so only schema
-    pieces recurse, as deep as ``G``/``F``/``U`` nest."""
+    """Verdict of ``f`` by :func:`_prove`; the subformulas its rules look
+    into (none under a bare next or edge) are proved first, in post-order,
+    so only schema pieces and fallback rewrites recurse, as deep as
+    ``G``/``F``/``U`` nest."""
     if f not in memo:
-        for g in postorder(f, lambda g: g._kids if _ATTEMPTS.get(type(g))
+        for g in postorder(f, lambda g: g._kids if _RULES_OF[type(g)]
                            else ()):
             if g not in memo:
-                memo[g] = _dispatch(g, memo)
+                memo[g] = _prove(g, memo)
     return memo[f]
 
 
-def _dispatch(f: Formula, memo: dict) -> Verdict:
-    attempts = _ATTEMPTS.get(type(f))
-    if attempts is None:
-        raise TypeError(f"not a formula: {f!r}")
-    if not attempts:
-        return Unknown((f,))
-    failed: list[tuple[Formula, ...]] = []
-    for attempt in attempts:
-        verdict = attempt(f, memo)
+def _prove(f: Formula, memo: dict[Formula, Verdict]) -> Verdict:
+    """One loop: the first candidate of ``f``'s rules in table order, then
+    the fallback rewrite under ``G``/``F``, whose pieces all prove closed,
+    or else every piece's blockers, first seen first.  A bare next or
+    edge has no rule and is its own blocker."""
+    blockers: dict[Formula, None] = {}
+    for rule in _RULES_OF[type(f)]:
+        _, candidates, names = _RULES[rule]
+        for canonical, pieces in candidates(f):
+            verdicts = [_analyze(g, memo) for g in pieces]
+            if failed := [b for v in verdicts if isinstance(v, Unknown)
+                          for b in v.blockers]:
+                blockers.update(dict.fromkeys(failed))
+                continue
+            note = "; ".join(f"{n}={render(g)}" for n, g in zip(names, pieces))
+            proofs = tuple(v.proof for v in verdicts)
+            node = ProofTree(rule, canonical, proofs, note or None)
+            if canonical != f:
+                node = ProofTree(Rule.EDGE_DUAL, f, (node,),
+                                 "fall edge read as rise of the negation")
+            return Closed(node)
+    rewritten = _fallback_rewrite(f)
+    if rewritten is not None:
+        verdict = _rewrite(
+            f, rewritten, memo,
+            "distributed over a disjunction of conjunctive terms")
         if isinstance(verdict, Closed):
             return verdict
-        failed.append(verdict.blockers)
-    return Unknown(_merge_blockers(*failed))
-
-
-def _try_schema(rule: Rule, f: Formula, memo: dict) -> Verdict:
-    """First candidate of ``rule`` whose pieces all prove closed."""
-    _, candidates, names = _RULES[rule]
-    failed: list[tuple[Formula, ...]] = []
-    for canonical, pieces in candidates(f):
-        verdicts = [_analyze(g, memo) for g in pieces]
-        blockers = [v.blockers for v in verdicts if isinstance(v, Unknown)]
-        if blockers:
-            failed.extend(blockers)
-            continue
-        note = "; ".join(f"{n}={render(g)}" for n, g in zip(names, pieces))
-        proofs = tuple(v.proof for v in verdicts)
-        node = ProofTree(rule, canonical, proofs, note or None)
-        if canonical != f:
-            node = ProofTree(
-                Rule.EDGE_DUAL, f, (node,),
-                note="fall edge read as rise of the negation",
-            )
-        return Closed(node)
-    return Unknown(_merge_blockers(*failed))
+        blockers.update(dict.fromkeys(verdict.blockers))
+    return Unknown(tuple(blockers) or (f,))
 
 
 def _negate(g: Formula) -> Formula:
@@ -391,20 +392,6 @@ def _fallback_rewrite(f: Formula) -> Formula | None:
     return rewritten
 
 
-def _try_fallback(f: Formula, memo: dict) -> Verdict:
-    rewritten = _fallback_rewrite(f)
-    if rewritten is None:
-        return Unknown(())
-    inner = _analyze(rewritten, memo)
-    if isinstance(inner, Closed):
-        node = ProofTree(
-            Rule.LOGIC_REWRITE, f, (inner.proof,),
-            note="distributed over a disjunction of conjunctive terms",
-        )
-        return Closed(node)
-    return inner
-
-
 # The rule table, read by both the prover and the checker:
 # rule -> (conclusion node types, candidate generator, piece names).
 _RULES = {
@@ -422,14 +409,9 @@ _RULES = {
     Rule.PROP_U: (Until, _until_candidates, "ABCDEF"),
 }
 
-# What the prover tries on each node type, in order: the table's rules
-# for that type, then the fallback rewrite under G and F.  A bare next or
-# edge has no rule and is its own blocker.
-_ATTEMPTS = {
-    kind: tuple(
-        partial(_try_schema, r)
-        for r, spec in _RULES.items() if issubclass(kind, spec[0])
-    ) + ((_try_fallback,) if kind in (Always, Eventually) else ())
+# The rules the prover tries on each node type, in table order.
+_RULES_OF = {
+    kind: tuple(r for r, spec in _RULES.items() if issubclass(kind, spec[0]))
     for kind in Formula.__subclasses__()
 }
 
@@ -448,13 +430,23 @@ def _proof_nodes(p: ProofTree) -> list[ProofTree]:
     return out
 
 
+def _with_texts(p: ProofTree):
+    """Post-order node occurrences of ``p``, with the conclusion texts so
+    far: each is rendered once, splicing in those rendered before it."""
+    shown: dict[Formula, str] = {}
+    for q in reversed(_proof_nodes(p)):
+        if q.conclusion not in shown:
+            shown[q.conclusion] = render(q.conclusion, shown)
+        yield q, shown
+
+
 def proof_to_doc(p: ProofTree) -> dict:
     done: list[dict] = []  # documents of finished nodes, premises last
-    for q in reversed(_proof_nodes(p)):
+    for q, shown in _with_texts(p):
         cut = len(done) - len(q.premises)
         doc = {
             "rule": q.rule.value,
-            "conclusion": render(q.conclusion),
+            "conclusion": shown[q.conclusion],
             "premises": done[cut:],
         }
         del done[cut:]
@@ -507,10 +499,7 @@ def render_proof(p: ProofTree, format: str = "text") -> str:
     if format != "text":
         raise ValueError(f"unknown proof format {format!r}")
     lines: list[str] = []
-    shown: dict[Formula, str] = {}  # each conclusion is rendered once
-    for node in reversed(_proof_nodes(p)):
-        if node.conclusion not in shown:
-            shown[node.conclusion] = render(node.conclusion, shown)
+    for node, shown in _with_texts(p):
         entry = f"[{node.rule.value}] {shown[node.conclusion]}"
         if node.premises:
             entry += "  <==  " + ", ".join(
@@ -523,8 +512,14 @@ def render_proof(p: ProofTree, format: str = "text") -> str:
 
 
 def check_proof(p: ProofTree) -> bool:
-    """Re-derive every node from its premises by its named rule."""
-    return all(_check_node(q) for q in _proof_nodes(p))
+    """Re-derive each distinct node from its premises by its named rule."""
+    seen, todo = set(), [p]
+    while todo:
+        q = todo.pop()
+        if q not in seen:
+            seen.add(q)
+            todo += q.premises
+    return all(map(_check_node, seen))
 
 
 def _check_node(p: ProofTree) -> bool:

@@ -20,6 +20,7 @@ one loop over an explicit stack, so trees of any depth render.
 from __future__ import annotations
 
 import re
+import reprlib
 
 from .formula import (
     Always,
@@ -154,7 +155,7 @@ def parse(text: str) -> Formula:
     out = parser.formula(0)
     tail, pos = parser.tokens[parser.index]
     if tail:
-        raise ParseError(f"unexpected trailing input {tail!r}", pos)
+        raise ParseError(f"unexpected trailing input {reprlib.repr(tail)}", pos)
     return out
 
 
@@ -170,7 +171,8 @@ _PREFIX_LEVEL = 1 + max(level for _, level, _ in INFIX.values())
 
 
 def render(f: Formula, shown: dict[Formula, str] | None = None) -> str:
-    """Minimal-parenthesis concrete syntax; ``parse(render(f)) == f``.
+    """Minimal-parenthesis concrete syntax; ``parse(render(f)) == f`` up to
+    ``MAX_NESTING`` levels, one per link of a right-nested ``&``/``|`` chain.
 
     The stack holds text and (node, minimum binding level) pieces.  An
     infix node looser than its minimum is parenthesized; its operand on

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,8 +24,8 @@ from ltledge.analyzer import (
     proof_to_doc,
     render_proof,
 )
-from ltledge.analyzer import _analyze, _proof_nodes
-from ltledge.formula import Atom, Next, RiseEdge
+from ltledge.analyzer import _analyze, _check_node, _proof_nodes
+from ltledge.formula import Atom, Next, RiseEdge, postorder
 from ltledge.patterns import catalog
 from ltledge.syntax import parse, render
 
@@ -230,9 +231,16 @@ def _text_rendering_each_conclusion_whole(p: ProofTree) -> str:
     return "\n".join(lines)
 
 
-def test_render_proof_text_equals_rendering_each_conclusion_whole():
-    # render_proof splices in the text of conclusions it has rendered
-    # already, parenthesized where their place needs it.
+def _doc_rendering_each_conclusion_whole(p: ProofTree) -> dict:
+    doc = {"rule": p.rule.value, "conclusion": render(p.conclusion),
+           "premises": [_doc_rendering_each_conclusion_whole(q)
+                        for q in p.premises]}
+    if p.note is not None:
+        doc["note"] = p.note
+    return doc
+
+
+def _splice_corpus() -> list[ProofTree]:
     rng = random.Random(2027)
     formulas = [gen_formula(rng, 5, ("p", "q")) for _ in range(1500)]
     formulas += [t.body for t in catalog().templates()]
@@ -240,8 +248,68 @@ def test_render_proof_text_equals_rendering_each_conclusion_whole():
         "G(" + " & ".join(f"(a{i} | b{i})" for i in range(300)) + ")"))
     proofs = [v.proof for v in map(analyze, formulas) if isinstance(v, Closed)]
     assert len(proofs) > 300
-    for p in proofs:
+    return proofs
+
+
+def test_render_proof_text_equals_rendering_each_conclusion_whole():
+    # render_proof splices in the text of conclusions it has rendered
+    # already, parenthesized where their place needs it.
+    for p in _splice_corpus():
         assert render_proof(p) == _text_rendering_each_conclusion_whole(p)
+
+
+def test_proof_to_doc_equals_rendering_each_conclusion_whole():
+    # proof_to_doc splices the same way.
+    for p in _splice_corpus():
+        assert proof_to_doc(p) == _doc_rendering_each_conclusion_whole(p)
+
+
+def test_proof_to_doc_renders_each_conclusion_once(monkeypatch):
+    # Each formula node is walked by one render call: a conclusion
+    # rendered before is spliced in, not rendered again.
+    proof = analyze(parse("G(" + " & ".join(f"a{i}" for i in range(300))
+                          + ")")).proof
+    walked, calls = Counter(), []
+
+    def counting_render(f, shown=None):
+        spliced = shown or {}
+        calls.append(f)
+        walked.update(g for g in postorder(
+            f, lambda g: () if g in spliced else g._kids) if g not in spliced)
+        return render(f, shown)
+
+    monkeypatch.setattr("ltledge.analyzer.render", counting_render)
+    assert proof_to_doc(proof) == _doc_rendering_each_conclusion_whole(proof)
+    conclusions = {q.conclusion for q in _proof_nodes(proof)}
+    assert len(calls) == len(conclusions) and set(calls) == conclusions
+    assert max(walked.values()) == 1
+
+
+def test_check_proof_checks_each_distinct_node_once(monkeypatch):
+    # F a is proved once and its proof shared; read back from its
+    # document, the two copies are equal and still checked once.
+    proof = analyze(parse("F a & (b | F a)")).proof
+    assert len(_proof_nodes(proof)) == 7
+    checked = []
+
+    def counting_check(q):
+        checked.append(q)
+        return _check_node(q)
+
+    monkeypatch.setattr("ltledge.analyzer._check_node", counting_check)
+    for p in (proof, proof_from_doc(proof_to_doc(proof))):
+        checked.clear()
+        assert check_proof(p)
+        assert len(checked) == len(set(checked)) == 5
+
+
+def test_wide_proofs_compare_and_hash():
+    f = parse(" & ".join(f"a{i}" for i in range(1000)))
+    first, second = analyze(f), analyze(f)
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
+    assert first != analyze(parse(" & ".join(f"a{i}" for i in range(999))))
+    assert first.proof != dataclasses.replace(first.proof, note="x")
 
 
 def test_check_proof_rejects_tampering():

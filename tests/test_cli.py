@@ -295,7 +295,12 @@ def test_a_huge_bad_trace_value_gives_one_short_error_line(run, tmp_path):
      "error: binding 'yyy"),
     (("pattern", "instantiate", "existence/A/0", "-b", "P=" + "(" * 100_000),
      "error: binding 'P=((("),
-], ids=["pattern-id", "binding", "binding-formula"])
+    (("analyze", "a " + "b" * 100_000),
+     "error: unexpected trailing input 'bbb"),
+    (("pattern", "instantiate", "existence/A/0", "-b", "P=a " + "c" * 100_000),
+     "error: binding 'P=a ccc"),
+], ids=["pattern-id", "binding", "binding-formula", "formula-token",
+        "binding-token"])
 def test_a_huge_bad_argument_gives_one_short_error_line(run, argv, start):
     code, out, err = run(*argv)
     assert (code, out) == (2, "")
