@@ -22,6 +22,7 @@ import heapq
 import threading
 import weakref
 from dataclasses import dataclass
+from functools import reduce
 from operator import attrgetter
 
 from _weakref import _remove_dead_weakref
@@ -265,20 +266,17 @@ def desugar_edges(f: Formula) -> Formula:
 
 
 def build_and(items: list[Formula]) -> Formula:
-    """Right-nested conjunction of ``items`` (empty list gives true)."""
+    """Left-nested conjunction of ``items``, as parsed (empty: true)."""
     return _build(And, items) if items else ConstTrue()
 
 
 def build_or(items: list[Formula]) -> Formula:
-    """Right-nested disjunction of ``items`` (empty list gives false)."""
+    """Left-nested disjunction of ``items``, as parsed (empty: false)."""
     return _build(Or, items) if items else ConstFalse()
 
 
 def _build(kind: type, items: list[Formula]) -> Formula:
-    out = items[-1]
-    for g in reversed(items[:-1]):
-        out = kind(g, out)
-    return out
+    return reduce(kind, items)  # ((a & b) & c): the one chain shape
 
 
 def _drop_negation(g: Formula) -> Formula:
@@ -322,7 +320,7 @@ def _conj(items: list[Formula]) -> Formula:
     pair ``a`` and ``X !a`` into ``FallEdge(a)``, repeatedly, the first
     pair of positions first (rises before falls).  The fold replaces the
     earlier conjunct and drops the later one, so conjunct order is
-    otherwise preserved; the chain is rebuilt right-nested.
+    otherwise preserved; the chain is rebuilt as ``parse`` builds it.
 
     A kind of pair is an ``X`` conjunct node with its partner node, and
     its next pair is their first occurrences, so the next fold is the

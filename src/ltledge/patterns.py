@@ -91,6 +91,8 @@ class PatternTemplate:
                     f"metavariable {reprlib.repr(m)} must be a single uppercase "
                     "letter"
                 )
+            if self.metavariables.count(m) > 1:
+                raise ValueError(f"metavariable {m!r} is listed twice")
         allowed = {m.lower() for m in self.metavariables}
         stray = [a for a in atoms_of(self.body) if a not in allowed]
         if stray:
@@ -167,7 +169,12 @@ class Catalog:
         added: dict[str, PatternTemplate] = {}
 
         def template(id, metavariables, body, notes=""):
-            ident = id if id.startswith("user/") else f"user/{id}"
+            name = id.removeprefix("user/")
+            # isprintable() is False for every whitespace but " ".
+            if not name or " " in name or not name.isprintable():
+                raise ValueError("id must be a non-empty name without "
+                                 "whitespace or control characters")
+            ident = f"user/{name}"
             if ident in self._entries or ident in added:
                 raise ValueError(f"duplicate pattern id {reprlib.repr(ident)}")
             return PatternTemplate(ident, "user", None, None, metavariables,

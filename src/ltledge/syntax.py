@@ -171,8 +171,8 @@ _PREFIX_LEVEL = 1 + max(level for _, level, _ in INFIX.values())
 
 
 def render(f: Formula, shown: dict[Formula, str] | None = None) -> str:
-    """Minimal-parenthesis concrete syntax; ``parse(render(f)) == f`` up to
-    ``MAX_NESTING`` levels, one per link of a right-nested ``&``/``|`` chain.
+    """Minimal-parenthesis concrete syntax; ``parse(render(f)) is f`` up to
+    ``MAX_NESTING`` levels; a left-nested ``&``/``|`` chain renders flat.
 
     The stack holds text and (node, minimum binding level) pieces.  An
     infix node looser than its minimum is parenthesized; its operand on

@@ -80,12 +80,12 @@ def test_bare_next_and_edges_are_not_provable():
 
 
 def test_eventually_rise_schema():
-    assert Rule.PROP_E in inner_rules("F(up a & X b & c)")
+    # the schema written flat is its own normal form: no rewrite step
+    assert root_rule("F(up a & X b & c)") is Rule.PROP_E
     assert root_rule("F(up a & X b)") is Rule.PROP_E
     # plain conjuncts only go to the side condition, next-parts to the target
-    verdict = analyze(parse("F(up a & X b & c)"))
-    prop_e = verdict.proof.premises[0]
-    assert prop_e.rule is Rule.PROP_E
+    prop_e = analyze(parse("F(up a & X b & c)")).proof
+    assert prop_e.conclusion == parse("F(up a & X b & c)")
     assert prop_e.note == "A=a; B=b; C=c"
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import ltledge
-from ltledge.analyzer import MAX_PROOF_DEPTH
+from ltledge.analyzer import MAX_PROOF_DEPTH, check_proof, proof_from_doc
 from ltledge.cli import main
 from ltledge.syntax import parse
 
@@ -234,6 +234,28 @@ def test_user_catalog_template_errors_name_the_entry(run, tmp_path):
         "uppercase letter\n")
 
 
+BAD_ID = (": id must be a non-empty name without whitespace or control "
+          "characters\n")
+
+
+@pytest.mark.parametrize("entry, err", [
+    ({"id": "t", "metavariables": ["P", "P"], "body": "F p"},
+     "error: catalog entry 't': metavariable 'P' is listed twice\n"),
+    ({"id": "a\nb", "metavariables": ["P"], "body": "F p"},
+     "error: catalog entry 'a\\nb'" + BAD_ID),
+    ({"id": "", "metavariables": ["P"], "body": "F p"},
+     "error: catalog entry ''" + BAD_ID),
+], ids=["repeated-metavariable", "newline-in-id", "empty-id"])
+def test_user_catalog_refuses_ids_and_metavariables_it_cannot_list(
+        run, tmp_path, entry, err):
+    # an id is listed on one line and names a template; a metavariable
+    # is bound, and warned about, once
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps([entry]))
+    for argv in (("pattern", "list"), ("pattern", "check")):
+        assert run(*argv, "--user", str(path)) == (2, "", err)
+
+
 def test_errors_exit_with_two(run, tmp_path):
     for argv in (
         ("analyze", "p &"),
@@ -371,6 +393,26 @@ def test_internal_errors_exit_with_three(run, monkeypatch):
 def test_wide_formulas_are_analyzed(run, text):
     # & and | chains are not nesting, so their length is not limited
     assert run("analyze", text) == (0, "Closed\n", "")
+
+
+CHAIN_150 = " & ".join(f"a{i}" for i in range(150))
+
+
+def test_json_proof_of_a_wide_chain_reads_back(run):
+    code, out, err = run("analyze", CHAIN_150, "--proof", "json")
+    assert (code, err) == (0, "")
+    proof = proof_from_doc(json.loads(out.removeprefix("Closed\n")))
+    assert proof.conclusion is parse(CHAIN_150)
+    assert check_proof(proof)
+
+
+def test_blocker_of_a_wide_chain_parses(run):
+    code, out, err = run("analyze", f"X({CHAIN_150})")
+    assert (code, err) == (1, "")
+    head, blocker = out.splitlines()
+    assert head == "Unknown"
+    assert parse(blocker.removeprefix("  blocked by: ")) is parse(
+        f"X({CHAIN_150})")
 
 
 def test_falsify_of_a_long_chain_is_over_the_budget(run):

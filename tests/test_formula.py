@@ -170,7 +170,7 @@ def test_flatten_and_build_round_trip():
     f = parse("p & (q & r) & s")
     assert [render(g) for g in spine(f, And)] == ["p", "q", "r", "s"]
     assert [render(g) for g in spine(parse("p | q | r"), Or)] == ["p", "q", "r"]
-    assert build_and([Atom("p"), Atom("q"), Atom("r")]) == parse("p & (q & r)")
+    assert build_and([Atom("p"), Atom("q"), Atom("r")]) == parse("p & q & r")
     assert build_and([]) == ConstTrue()
     assert build_or([]) == ConstFalse()
     assert build_or([Atom("p")]) == Atom("p")
@@ -189,7 +189,8 @@ def test_rewrite_logic_distributes_temporal_over_junctions():
 def test_rewrite_logic_reaches_its_fixpoint_in_one_pass():
     # each distribution step re-normalizes the nodes it builds, so a wide
     # conjunction under G needs no pass per operand; the result is one
-    # right-nested chain, like every conjunction of the normal form
+    # left-nested chain, as parse builds it, like every conjunction of
+    # the normal form
     names = [f"a{i}" for i in range(300)]
     f = parse("G(" + " & ".join(names) + ")")
     assert rewrite_logic(f) == build_and([Always(Atom(n)) for n in names])
@@ -239,8 +240,8 @@ def test_edge_pairs_fold_without_a_rescan_per_fold():
     ("F(edge p)", "F up p | F down p"),
     ("!G(!p -> !X p) & X G(!p -> !X p)", "down F up p"),
     ("G(!edge !p & (q | false) U (q -> p))",
-     "G !up p & (G !down p & G((q | false) U (q -> p)))"),
-    ("G((a & b) & c)", "G a & (G b & G c)"),
+     "G !up p & G !down p & G((q | false) U (q -> p))"),
+    ("G((a & b) & c)", "G a & G b & G c"),
     ("up !!p & X !!q", "up p & X q"),
     ("F !(!p & X p & q)", "F !up p | F !q"),
     ("G(x -> !(!p & X p))", "!F(x & up p)"),
@@ -252,6 +253,22 @@ def test_normalize_reaches_forms_that_chain_several_rewrites(text, expected):
     # each needs a rewrite that exposes another: a fold under a
     # distribution, an expansion before one, a double negation before a fold
     assert render(normalize(parse(text))) == expected
+
+
+@pytest.mark.parametrize("n", [150, 1000])
+@pytest.mark.parametrize("op", ["&", "|"])
+@pytest.mark.parametrize("wrap", ["{}", "G({})", "F({})", "X({})",
+                                  "G(a -> {})"])
+def test_normal_forms_of_wide_chains_read_back(n, op, wrap):
+    # the normal form nests its chains as parse does, so its text is
+    # flat and reads back at any width
+    g = normalize(parse(wrap.format(f" {op} ".join(
+        f"a{i}" for i in range(n)))))
+    assert parse(render(g)) is g
+
+
+def test_normal_form_chains_are_the_parsed_chains():
+    assert normalize(parse("G(p & q & r)")) is parse("G p & G q & G r")
 
 
 @settings(max_examples=200)
